@@ -8,7 +8,6 @@ import os
 import platform
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import inf
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -132,19 +131,12 @@ def run_bench(
     tasks: Sequence[Task],
     timeout: float = 60.0,
     repeats: int = 3,
-    parallel: bool = False,
 ) -> BenchReport:
     """Time every task with pruning off then on; plans are validated by
     execution before they are reported."""
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(tasks) or 1) as pool:
-            rows = list(
-                pool.map(lambda t: _bench_row(scene, t, timeout, repeats), tasks)
-            )
-    else:
-        rows = [_bench_row(scene, t, timeout, repeats) for t in tasks]
+    rows = [_bench_row(scene, t, timeout, repeats) for t in tasks]
     return BenchReport(tuple(rows), _environment(), timeout, repeats)
 
 

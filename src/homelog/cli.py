@@ -165,7 +165,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         [TASK_CATALOG[n] for n in names],
         timeout=args.timeout,
         repeats=args.repeats,
-        parallel=args.parallel,
     )
     formatter = format_csv if args.format == "csv" else format_markdown
     print(formatter(report), end="")
@@ -220,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=_cmd_bench)
 
     return parser

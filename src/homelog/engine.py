@@ -20,19 +20,22 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
-from .program import Clause, Literal, PredId, Program, pred_of
+from .program import Clause, Literal, PredId, Program
 from .terms import (
-    Const,
+    EMPTY_LIST,
     Struct,
     Subst,
     Term,
     Var,
     apply_subst,
     format_term,
+    list_parts,
+    make_list,
     rename_apart_term,
     term_vars,
     undo_trail,
     unify_in_place,
+    variant_key,
 )
 
 __all__ = [
@@ -45,7 +48,6 @@ __all__ = [
     "PRELUDE_PREDS",
     "solve",
     "solve_all",
-    "solve_naf",
 ]
 
 
@@ -65,7 +67,6 @@ class FlounderError(Exception):
 class SolveConfig:
     max_depth: int = 10_000
     step_budget: int = 5_000_000
-    occurs_check: bool = True
     loop_check: bool = True
     wall_timeout: Optional[float] = None
     trace: Optional[Callable[[str], None]] = None
@@ -244,7 +245,7 @@ class _Solver:
                         raise BudgetExceeded(f"derivation depth cap {cfg.max_depth} exceeded")
                     key = None
                     if cfg.loop_check and pred in self.cyclic:
-                        key = self._call_key(lit.atom)
+                        key = variant_key(lit.atom, self.bindings)
                         if self._seen_on_path(anc, pred, key):
                             self.budget.step()
                             cur = self._backtrack(cps)
@@ -278,7 +279,6 @@ class _Solver:
     def _try_clauses(self, cp: list) -> object:
         node, clauses, _, mark, key = cp
         lit, anc, depth, nxt = node
-        occ = self.config.occurs_check
         while cp[2] < len(clauses):
             clause = clauses[cp[2]]
             cp[2] += 1
@@ -286,7 +286,7 @@ class _Solver:
             self.budget.step()
             mapping: Dict[str, str] = {}
             head = rename_apart_term(clause.head, mapping, self.fresh)
-            if not unify_in_place(lit.atom, head, self.bindings, self.trail, occ):
+            if not unify_in_place(lit.atom, head, self.bindings, self.trail):
                 continue
             frame = (lit.pred, key, anc)
             out = nxt
@@ -304,36 +304,6 @@ class _Solver:
                 return True
         return False
 
-    def _call_key(self, t: Term) -> str:
-        parts: List[str] = []
-        mapping: Dict[str, str] = {}
-        self._call_key_walk(t, mapping, parts)
-        return "".join(parts)
-
-    def _call_key_walk(self, t: Term, mapping: Dict[str, str], parts: List[str]) -> None:
-        bindings = self.bindings
-        while isinstance(t, Var):
-            nxt = bindings.get(t.name)
-            if nxt is None:
-                break
-            t = nxt
-        if isinstance(t, Var):
-            new = mapping.get(t.name)
-            if new is None:
-                new = f"_{len(mapping)}"
-                mapping[t.name] = new
-            parts.append(new)
-        elif isinstance(t, Const):
-            parts.append(f"i{t.value}" if isinstance(t.value, int) else t.value)
-        else:
-            parts.append(t.functor)
-            parts.append("(")
-            for i, a in enumerate(t.args):
-                if i:
-                    parts.append(",")
-                self._call_key_walk(a, mapping, parts)
-            parts.append(")")
-
     # -- deterministic goals ---------------------------------------------------
 
     def _builtin(self, lit: Literal) -> bool:
@@ -342,13 +312,13 @@ class _Solver:
         lhs, rhs = atom.args
         if atom.functor == "=":
             mark = len(self.trail)
-            if unify_in_place(lhs, rhs, self.bindings, self.trail, self.config.occurs_check):
+            if unify_in_place(lhs, rhs, self.bindings, self.trail):
                 return True
             undo_trail(self.bindings, self.trail, mark)
             return False
         # \=: succeeds exactly when the two sides do not unify
         mark = len(self.trail)
-        ok = unify_in_place(lhs, rhs, self.bindings, self.trail, self.config.occurs_check)
+        ok = unify_in_place(lhs, rhs, self.bindings, self.trail)
         undo_trail(self.bindings, self.trail, mark)
         return not ok
 
@@ -381,12 +351,8 @@ class _Solver:
         lst = apply_subst(self.bindings, atom.args[1])
         if term_vars(item) or term_vars(lst):
             raise FlounderError("insert_sorted/3 needs ground item and list")
-        items: List[Term] = []
-        tail = lst
-        while isinstance(tail, Struct) and tail.functor == "." and len(tail.args) == 2:
-            items.append(tail.args[0])
-            tail = tail.args[1]
-        if tail != Const("[]"):
+        items, tail = list_parts(lst)
+        if tail != EMPTY_LIST:
             raise FlounderError("insert_sorted/3 needs a proper list")
         if item not in items:
             text = format_term(item)
@@ -396,10 +362,7 @@ class _Solver:
                     at = i
                     break
             items.insert(at, item)
-        out: Term = Const("[]")
-        for x in reversed(items):
-            out = Struct(".", (x, out))
-        return unify_in_place(atom.args[2], out, self.bindings, self.trail, self.config.occurs_check)
+        return unify_in_place(atom.args[2], make_list(items), self.bindings, self.trail)
 
     # -- answers ---------------------------------------------------------------
 
@@ -461,23 +424,3 @@ def solve_all(
     except SolveTimeout:
         return answers, "timeout"
     return answers, "exhausted"
-
-
-def solve_naf(
-    program: Program,
-    literal: Literal,
-    config: Optional[SolveConfig] = None,
-) -> bool:
-    """Decide a single negation-as-failure call for a ground atom.
-
-    Returns True when no proof of the atom exists.  Raises FlounderError
-    if the atom is non-ground and BudgetExceeded if the budget runs out
-    before the question is decided.
-    """
-    atom = literal.atom
-    if term_vars(atom):
-        raise FlounderError(f"negated call not ground: {format_term(atom)}")
-    cfg = config or SolveConfig()
-    for _ in solve(program, [Literal(atom)], cfg):
-        return False
-    return True

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .program import BUILTIN_FUNCTORS, Clause, Literal, Program, pred_of
-from .terms import Const, Struct, Term, Var, make_list
+from .terms import EMPTY_LIST, Const, Struct, Term, Var, make_list
 
 __all__ = ["ParseError", "parse_program", "parse_query", "parse_term_text"]
 
@@ -169,7 +169,7 @@ class _Parser:
         kind, val, _, _ = self.peek()
         if kind == _PUNCT and val == "]":
             self.next()
-            return Const("[]")
+            return EMPTY_LIST
         if kind == _EOF:
             raise self.fail("unterminated list", expected=("term", "']'"))
         items = [self.parse_term()]
@@ -192,7 +192,7 @@ class _Parser:
                     f"unterminated list, got {self.describe()}",
                     expected=("','", "'|'", "']'"),
                 )
-        return make_list(items, tail if tail is not None else Const("[]"))
+        return make_list(items, tail if tail is not None else EMPTY_LIST)
 
     def parse_literal(self) -> Literal:
         kind, val, _, _ = self.peek()

@@ -11,7 +11,7 @@ to confirm they execute.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -332,14 +332,7 @@ def plan(
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SolveTimeout(f"no plan within {base_cfg.wall_timeout} s")
-            cfg = SolveConfig(
-                max_depth=base_cfg.max_depth,
-                step_budget=base_cfg.step_budget,
-                occurs_check=base_cfg.occurs_check,
-                loop_check=base_cfg.loop_check,
-                wall_timeout=remaining,
-                trace=base_cfg.trace,
-            )
+            cfg = replace(base_cfg, wall_timeout=remaining)
         skeleton = [Var(f"A{i}") for i in range(1, length + 1)]
         goal = Literal(Struct("transform", (goal_list, make_list(skeleton))))
         try:

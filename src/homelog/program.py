@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Tuple
 
 from .terms import Const, Struct, Term, Var, format_term
 
@@ -125,9 +125,6 @@ class Program:
 
     def defines(self, pred: PredId) -> bool:
         return pred in self.index
-
-    def clauses_for(self, pred: PredId) -> Tuple[Clause, ...]:
-        return self.index.get(pred, ())
 
     def fact_count(self) -> int:
         return sum(1 for c in self.clauses if c.is_fact)

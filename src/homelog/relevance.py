@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .engine import PRELUDE_PREDS
-from .program import Clause, Literal, PredId, Program
+from .program import BUILTIN_FUNCTORS, Literal, PredId, Program
 
 __all__ = [
     "BUILTIN_PREDS",
@@ -27,7 +27,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BUILTIN_PREDS: Tuple[PredId, ...] = (PredId("=", 2), PredId("\\=", 2))
+BUILTIN_PREDS: Tuple[PredId, ...] = tuple(PredId(f, 2) for f in BUILTIN_FUNCTORS)
 
 
 @dataclass(frozen=True)

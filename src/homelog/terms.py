@@ -134,14 +134,8 @@ def _occurs(name: str, t: Term, s: Subst) -> bool:
     return False
 
 
-def unify_in_place(
-    t1: Term,
-    t2: Term,
-    bindings: Subst,
-    trail: List[str],
-    occurs_check: bool = True,
-) -> bool:
-    """Destructive unification used by the solver.
+def unify_in_place(t1: Term, t2: Term, bindings: Subst, trail: List[str]) -> bool:
+    """Destructive unification with occurs check, used by the solver.
 
     New bindings go into `bindings` and their names onto `trail` so the
     caller can undo them on backtracking.  Returns False on clash, leaving
@@ -157,12 +151,12 @@ def unify_in_place(
         if isinstance(a, Var):
             if isinstance(b, Var) and b.name == a.name:
                 continue
-            if occurs_check and _occurs(a.name, b, bindings):
+            if _occurs(a.name, b, bindings):
                 return False
             bindings[a.name] = b
             trail.append(a.name)
         elif isinstance(b, Var):
-            if occurs_check and _occurs(b.name, a, bindings):
+            if _occurs(b.name, a, bindings):
                 return False
             bindings[b.name] = a
             trail.append(b.name)
@@ -184,14 +178,14 @@ def undo_trail(bindings: Subst, trail: List[str], mark: int) -> None:
         del bindings[trail.pop()]
 
 
-def unify(t1: Term, t2: Term, s: Optional[Subst] = None, occurs_check: bool = True) -> Optional[Subst]:
+def unify(t1: Term, t2: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     """Most general unifier extending `s`, or None if the terms clash.
 
     The input substitution is never mutated.
     """
     out: Subst = dict(s) if s else {}
     trail: List[str] = []
-    if unify_in_place(t1, t2, out, trail, occurs_check):
+    if unify_in_place(t1, t2, out, trail):
         return out
     return None
 
@@ -209,34 +203,40 @@ def rename_apart_term(t: Term, mapping: Dict[str, str], counter: Iterator[int]) 
     return t
 
 
-def variant_key(t: Term) -> str:
+def variant_key(t: Term, bindings: Optional[Subst] = None) -> str:
     """Canonical text with variables numbered in first-occurrence order.
 
-    Two terms are variants (equal up to a bijective variable renaming)
-    exactly when their keys are equal.
+    Variables bound in `bindings` are read through.  Two terms are variants
+    (equal up to a bijective variable renaming) exactly when their keys are
+    equal: variables print as `_0`, `_1`, ... and integers as `#1`, text no
+    parsed atom can spell.
     """
     mapping: Dict[str, str] = {}
     parts: List[str] = []
-    _variant_key(t, mapping, parts)
+    _variant_key(t, bindings if bindings is not None else {}, mapping, parts)
     return "".join(parts)
 
 
-def _variant_key(t: Term, mapping: Dict[str, str], parts: List[str]) -> None:
+def _variant_key(t: Term, s: Subst, mapping: Dict[str, str], parts: List[str]) -> None:
     if isinstance(t, Var):
-        new = mapping.get(t.name)
-        if new is None:
-            new = f"_{len(mapping)}"
-            mapping[t.name] = new
-        parts.append(new)
-    elif isinstance(t, Const):
-        parts.append(f"i{t.value}" if isinstance(t.value, int) else t.value)
+        t = _walk(t, s)
+        if isinstance(t, Var):
+            new = mapping.get(t.name)
+            if new is None:
+                new = f"_{len(mapping)}"
+                mapping[t.name] = new
+            parts.append(new)
+            return
+    if isinstance(t, Const):
+        v = t.value
+        parts.append(v if isinstance(v, str) else f"#{v}")
     else:
         parts.append(t.functor)
         parts.append("(")
-        for i, a in enumerate(t.args):
-            if i:
-                parts.append(",")
-            _variant_key(a, mapping, parts)
+        _variant_key(t.args[0], s, mapping, parts)
+        for a in t.args[1:]:
+            parts.append(",")
+            _variant_key(a, s, mapping, parts)
         parts.append(")")
 
 

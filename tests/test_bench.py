@@ -95,14 +95,6 @@ def test_run_bench_is_deterministic_in_shape(six_scene):
     assert [strip(r) for r in a.rows] == [strip(r) for r in b.rows]
 
 
-def test_run_bench_parallel_matches_serial(six_scene):
-    tasks = [TASK_CATALOG["walk_to_remote"], TASK_CATALOG["grab_remote"]]
-    serial = run_bench(six_scene, tasks, timeout=30.0, repeats=1)
-    parallel = run_bench(six_scene, tasks, timeout=30.0, repeats=1, parallel=True)
-    keyed = lambda rep: [(r.task, r.plan_len, r.note) for r in rep.rows]
-    assert keyed(serial) == keyed(parallel)
-
-
 def test_run_bench_rejects_zero_repeats(six_scene):
     with pytest.raises(ValueError):
         run_bench(six_scene, [TASK_CATALOG["grab_remote"]], repeats=0)

@@ -11,7 +11,6 @@ from homelog.engine import (
     SolveConfig,
     solve,
     solve_all,
-    solve_naf,
 )
 from homelog.fixpoint import fixpoint_answers
 from homelog.parser import parse_program, parse_query
@@ -169,14 +168,6 @@ def test_naf_on_unbound_variable_flounders():
         answers_for(p, "?- not p(X).")
 
 
-def test_solve_naf_helper():
-    p = parse_program("p(a).")
-    assert solve_naf(p, Literal(Struct("p", (Const("b"),)))) is True
-    assert solve_naf(p, Literal(Struct("p", (Const("a"),)))) is False
-    with pytest.raises(FlounderError):
-        solve_naf(p, Literal(Struct("p", (Var("X"),))))
-
-
 def test_naf_over_budget_is_an_error_not_success():
     # The sub-derivation for the negated call never terminates once the
     # loop check is off; that must surface as BudgetExceeded, not "yes".
@@ -213,6 +204,13 @@ def test_loop_check_only_cuts_variant_calls():
     p = parse_program("len([], z). len([_|T], s(N)) :- len(T, N).")
     answers = answers_for(p, "?- len([a, b, c], N).")
     assert [str(a) for a in answers] == ["N = s(s(s(z)))"]
+
+
+def test_loop_check_tells_integers_from_lookalike_atoms():
+    # p(1) calls p(i1), which is not a variant of it, so the call must run.
+    p = parse_program("p(1) :- p(i1). p(i1).")
+    assert [str(a) for a in answers_for(p, "?- p(1).")] == ["yes"]
+    assert (Const(1),) in fixpoint_answers(p, PredId("p", 1))
 
 
 def test_depth_cap_raises():
