@@ -297,10 +297,11 @@ class _Solver:
         undo_trail(self.bindings, self.trail, mark)
         return _FAILED
 
-    def _seen_on_path(self, anc, pred: PredId, key: str) -> bool:
+    def _seen_on_path(self, anc, pred: PredId, key: Tuple[int, tuple]) -> bool:
         while anc is not None:
             apred, akey, anc = anc
-            if apred == pred and akey == key:
+            # The key leads with its hash, so most frames fail one int compare.
+            if akey == key and apred == pred:
                 return True
         return False
 

@@ -7,10 +7,10 @@ anything else raises OracleUnsupported rather than guessing.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
-from .program import Clause, Literal, PredId, Program, pred_of
-from .terms import Const, Struct, Subst, Term, Var, apply_subst, term_vars, unify
+from .program import Literal, PredId, Program, pred_of
+from .terms import Struct, Subst, Term, apply_subst, term_vars, unify
 
 __all__ = ["OracleUnsupported", "fixpoint_eval", "fixpoint_answers"]
 

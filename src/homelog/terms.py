@@ -45,14 +45,31 @@ class Const:
         return f"Const({self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
 class Struct:
-    functor: str
-    args: Tuple["Term", ...]
+    """A compound term.
 
-    def __post_init__(self) -> None:
-        if not self.args:
+    `ground` is true when no variable occurs in the term.  It is computed
+    once, at construction, from the children's flags, and a ground term's
+    structural hash is cached with it, so walks that only look for
+    variables stop at ground subterms and equality rejects most unequal
+    ground terms with one integer compare.  Equality and hashing are
+    structural and walk the term without recursion.
+    """
+
+    __slots__ = ("functor", "args", "ground", "_hash")
+
+    def __init__(self, functor: str, args: Tuple["Term", ...]):
+        if not args:
             raise ValueError("compound term needs at least one argument")
+        self.functor = functor
+        self.args = args
+        for a in args:
+            if type(a) is Var or (type(a) is Struct and not a.ground):
+                self.ground = False
+                self._hash = None
+                return
+        self.ground = True
+        self._hash = hash((functor, args))
 
     @property
     def arity(self) -> int:
@@ -60,6 +77,49 @@ class Struct:
 
     def __repr__(self) -> str:
         return f"Struct({self.functor}/{len(self.args)})"
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            # Fill the hashes of non-ground subterms bottom-up, so that
+            # hashing a node's args tuple never descends more than a level.
+            stack = [self]
+            while stack:
+                t = stack[-1]
+                pending = [a for a in t.args if type(a) is Struct and a._hash is None]
+                if pending:
+                    stack.extend(pending)
+                else:
+                    stack.pop()
+                    t._hash = hash((t.functor, t.args))
+            h = self._hash
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Struct:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b):
+                return False
+            if type(a) is not Struct:
+                if a != b:
+                    return False
+                continue
+            if (
+                a.ground is not b.ground
+                or (a.ground and a._hash != b._hash)
+                or a.functor != b.functor
+                or len(a.args) != len(b.args)
+            ):
+                return False
+            stack.extend(zip(a.args, b.args))
+        return True
 
 
 Term = Union[Var, Const, Struct]
@@ -118,19 +178,47 @@ def _walk(t: Term, s: Subst) -> Term:
 
 
 def apply_subst(s: Subst, t: Term) -> Term:
-    """Apply a substitution exhaustively; the result is fixed under reapplication."""
-    t = _walk(t, s)
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(apply_subst(s, a) for a in t.args))
-    return t
+    """Apply a substitution exhaustively; the result is fixed under reapplication.
+
+    Ground compounds are returned as they are; the rest is rebuilt bottom-up
+    from an explicit stack, so the Python stack does not grow with the term.
+    """
+    todo: List[object] = [t]
+    done: List[Term] = []
+    while todo:
+        cur = todo.pop()
+        if type(cur) is tuple:
+            functor, n = cur
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Struct(functor, args))
+            continue
+        while type(cur) is Var:
+            nxt = s.get(cur.name)
+            if nxt is None:
+                break
+            cur = nxt
+        if type(cur) is Struct and not cur.ground:
+            todo.append((cur.functor, len(cur.args)))
+            todo.extend(reversed(cur.args))
+        else:
+            done.append(cur)
+    return done[0]
 
 
 def _occurs(name: str, t: Term, s: Subst) -> bool:
-    t = _walk(t, s)
-    if isinstance(t, Var):
-        return t.name == name
-    if isinstance(t, Struct):
-        return any(_occurs(name, a, s) for a in t.args)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while type(t) is Var:
+            if t.name == name:
+                return True
+            nxt = s.get(t.name)
+            if nxt is None:
+                break
+            t = nxt
+        if type(t) is Struct and not t.ground:
+            stack.extend(t.args)
     return False
 
 
@@ -191,72 +279,88 @@ def unify(t1: Term, t2: Term, s: Optional[Subst] = None) -> Optional[Subst]:
 
 
 def rename_apart_term(t: Term, mapping: Dict[str, str], counter: Iterator[int]) -> Term:
-    """Copy `t` renaming variables via `mapping`, minting fresh names as needed."""
-    if isinstance(t, Var):
-        new = mapping.get(t.name)
-        if new is None:
-            new = f"_G{next(counter)}"
-            mapping[t.name] = new
-        return Var(new)
-    if isinstance(t, Struct):
-        return Struct(t.functor, tuple(rename_apart_term(a, mapping, counter) for a in t.args))
-    return t
+    """Copy `t` renaming variables via `mapping`, minting fresh names as needed.
 
-
-def variant_key(t: Term, bindings: Optional[Subst] = None) -> str:
-    """Canonical text with variables numbered in first-occurrence order.
-
-    Variables bound in `bindings` are read through.  Two terms are variants
-    (equal up to a bijective variable renaming) exactly when their keys are
-    equal: variables print as `_0`, `_1`, ... and integers as `#1`, text no
-    parsed atom can spell.
+    Ground compounds are shared, not copied.
     """
-    mapping: Dict[str, str] = {}
-    parts: List[str] = []
-    _variant_key(t, bindings if bindings is not None else {}, mapping, parts)
-    return "".join(parts)
-
-
-def _variant_key(t: Term, s: Subst, mapping: Dict[str, str], parts: List[str]) -> None:
-    if isinstance(t, Var):
-        t = _walk(t, s)
-        if isinstance(t, Var):
-            new = mapping.get(t.name)
+    todo: List[object] = [t]
+    done: List[Term] = []
+    while todo:
+        cur = todo.pop()
+        if type(cur) is tuple:
+            functor, n = cur
+            args = tuple(done[-n:])
+            del done[-n:]
+            done.append(Struct(functor, args))
+        elif type(cur) is Var:
+            new = mapping.get(cur.name)
             if new is None:
-                new = f"_{len(mapping)}"
-                mapping[t.name] = new
-            parts.append(new)
-            return
-    if isinstance(t, Const):
-        v = t.value
-        parts.append(v if isinstance(v, str) else f"#{v}")
-    else:
-        parts.append(t.functor)
-        parts.append("(")
-        _variant_key(t.args[0], s, mapping, parts)
-        for a in t.args[1:]:
-            parts.append(",")
-            _variant_key(a, s, mapping, parts)
-        parts.append(")")
+                new = f"_G{next(counter)}"
+                mapping[cur.name] = new
+            done.append(Var(new))
+        elif type(cur) is Struct and not cur.ground:
+            todo.append((cur.functor, len(cur.args)))
+            todo.extend(reversed(cur.args))
+        else:
+            done.append(cur)
+    return done[0]
+
+
+def variant_key(t: Term, bindings: Optional[Subst] = None) -> Tuple[int, tuple]:
+    """A hashable key equal for two terms exactly when they are variants.
+
+    Variables bound in `bindings` are read through: the term is resolved
+    first, so a compound that is ground through bindings is rebuilt ground.
+    The key lists the term in prefix order: variables as their number in
+    first-occurrence order, constants and ground compounds as themselves,
+    other compounds as (functor, arity).  It is returned with its hash in
+    front, so comparing two keys usually stops at one integer compare.
+    """
+    if bindings:
+        t = apply_subst(bindings, t)
+    mapping: Dict[str, int] = {}
+    key: List[object] = []
+    stack = [t]
+    while stack:
+        cur = stack.pop()
+        if type(cur) is Var:
+            n = mapping.get(cur.name)
+            if n is None:
+                n = mapping[cur.name] = len(mapping)
+            key.append(n)
+        elif type(cur) is Struct and not cur.ground:
+            key.append((cur.functor, len(cur.args)))
+            stack.extend(reversed(cur.args))
+        else:
+            key.append(cur)
+    out = tuple(key)
+    return hash(out), out
 
 
 def variant_of(t1: Term, t2: Term) -> bool:
     """True when the terms are equal up to a bijective renaming of variables."""
-    return _variant_walk(t1, t2, {}, {})
-
-
-def _variant_walk(t1: Term, t2: Term, fwd: Dict[str, str], bwd: Dict[str, str]) -> bool:
-    if isinstance(t1, Var) and isinstance(t2, Var):
-        a = fwd.setdefault(t1.name, t2.name)
-        b = bwd.setdefault(t2.name, t1.name)
-        return a == t2.name and b == t1.name
-    if isinstance(t1, Const) and isinstance(t2, Const):
-        return t1.value == t2.value
-    if isinstance(t1, Struct) and isinstance(t2, Struct):
-        if t1.functor != t2.functor or len(t1.args) != len(t2.args):
+    fwd: Dict[str, str] = {}
+    bwd: Dict[str, str] = {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is Var and type(b) is Var:
+            if fwd.setdefault(a.name, b.name) != b.name or bwd.setdefault(b.name, a.name) != a.name:
+                return False
+        elif type(a) is Struct and type(b) is Struct:
+            if a.ground or b.ground:
+                if a != b:
+                    return False
+            elif a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            else:
+                stack.extend(zip(a.args, b.args))
+        elif type(a) is Const and type(b) is Const:
+            if a.value != b.value:
+                return False
+        else:
             return False
-        return all(_variant_walk(a, b, fwd, bwd) for a, b in zip(t1.args, t2.args))
-    return False
+    return True
 
 
 def format_term(t: Term) -> str:

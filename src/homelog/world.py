@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .program import Clause, Program
 from .terms import Const, Struct, Term, format_term, make_list

@@ -213,6 +213,14 @@ def test_loop_check_tells_integers_from_lookalike_atoms():
     assert (Const(1),) in fixpoint_answers(p, PredId("p", 1))
 
 
+def test_member_over_a_long_list_fact():
+    # The loop-check key, the occurs check and renaming walk the whole list;
+    # none of them may recurse once per element.
+    items = ", ".join(f"x{i}" for i in range(3000))
+    p = parse_program(f"items([{items}]).\nhas(X) :- items(L), member(X, L).\n")
+    assert [str(a) for a in answers_for(p, "?- has(x1500).")] == ["yes"]
+
+
 def test_depth_cap_raises():
     p = parse_program("count(z). count(s(X)) :- count(X).")
     gen = solve(p, parse_query("?- count(s(s(s(s(z)))))."), SolveConfig(max_depth=3))

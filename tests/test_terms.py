@@ -45,12 +45,49 @@ def _terms(max_depth=3):
     )
 
 
+def _rebuild(t, value=None):
+    """A copy of `t` that shares no compound with it, every variable
+    replaced by `value` when one is given."""
+    if isinstance(t, Struct):
+        return Struct(t.functor, tuple(_rebuild(a, value) for a in t.args))
+    if isinstance(t, Var) and value is not None:
+        return value
+    return t
+
+
 # -- construction -----------------------------------------------------------------
 
 
 def test_struct_requires_args():
     with pytest.raises(ValueError):
         Struct("f", ())
+
+
+@settings(max_examples=150)
+@given(_terms())
+def test_ground_flag_means_no_variables(t):
+    if isinstance(t, Struct):
+        assert t.ground == (not term_vars(t))
+
+
+@settings(max_examples=150)
+@given(_terms())
+def test_equal_terms_hash_equal(t):
+    copy = _rebuild(t)
+    assert copy == t and hash(copy) == hash(t)
+    # The same term made ground through bindings is rebuilt with the flag
+    # and the hash of one built ground.
+    rebuilt = apply_subst({name: Const("a") for name in term_vars(t)}, t)
+    built = _rebuild(t, Const("a"))
+    assert rebuilt == built and hash(rebuilt) == hash(built)
+    if isinstance(rebuilt, Struct):
+        assert rebuilt.ground
+
+
+def test_unequal_ground_terms():
+    assert Struct("f", (Const("a"),)) != Struct("f", (Const("b"),))
+    assert Struct("f", (Const("a"),)) != Struct("f", (Var("X"),))
+    assert Struct("f", (Const("a"),)) != Const("a")
 
 
 def test_list_sugar_round_trip():
@@ -214,8 +251,45 @@ def test_variant_key_reads_through_bindings():
     assert variant_key(t) == variant_key(Struct("p", (Var("A"), Var("B"))))
 
 
+@settings(max_examples=150)
+@given(_terms(), _terms())
+def test_variant_key_resolves_bindings(t1, t2):
+    s = unify(t1, t2)
+    if s is not None:
+        assert variant_key(t1, s) == variant_key(apply_subst(s, t1))
+
+
 @settings(max_examples=80)
 @given(_terms(), _terms())
 @example(Const("i1"), Const(1))
 def test_variant_agrees_with_key(t1, t2):
     assert variant_of(t1, t2) == (variant_key(t1) == variant_key(t2))
+
+
+# -- deep terms -------------------------------------------------------------------
+
+
+def test_walks_over_a_long_list_do_not_recurse():
+    n = 10_000
+    items = [Const(f"x{i}") for i in range(n)]
+    ground = make_list(items)
+    assert ground == make_list(items) and hash(ground) == hash(make_list(items))
+    names = [f"V{i}" for i in range(n)]
+    open_list = make_list([Var(v) for v in names])
+    assert open_list == make_list([Var(v) for v in names])
+    assert hash(open_list) == hash(make_list([Var(v) for v in names]))
+    assert unify(open_list, make_list(items[:-1], Const("x"))) is None
+
+    s = unify(open_list, ground)
+    assert s is not None
+    assert apply_subst(s, open_list) == ground and apply_subst(s, open_list).ground
+    assert variant_key(open_list, s) == variant_key(ground)
+    # The same list bound cell by cell through a chain of variables.
+    chain = {f"L{i}": Struct(".", (items[i], Var(f"L{i + 1}"))) for i in range(n)}
+    chain[f"L{n}"] = EMPTY_LIST
+    assert apply_subst(chain, Var("L0")) == ground
+
+    renamed = rename_apart_term(open_list, {}, itertools.count())
+    assert variant_of(open_list, renamed) and not variant_of(open_list, ground)
+    assert variant_key(open_list) == variant_key(renamed)
+    assert variant_key(open_list) != variant_key(ground)
