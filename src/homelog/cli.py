@@ -1,7 +1,7 @@
 """Command-line interface: parse, solve, prune, graph, plan, bench.
 
 Exit codes: 0 success, 1 no answer / no plan, 2 usage error, 3 timeout
-or budget exhausted, 4 parse or scene-schema error.
+or budget exhausted, 4 parse or scene-schema error, 5 internal error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_NO_ANSWER = 1
 EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_PARSE = 4
+EXIT_INTERNAL = 5
 
 
 def _read_text(path: str) -> str:
@@ -241,6 +242,10 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # A fault in homelog itself: one line instead of a traceback.
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

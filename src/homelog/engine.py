@@ -1,11 +1,17 @@
 """Goal-directed SLDNF solver with loop detection and resource budgets.
 
 Search is depth-first, clauses are tried in source order, body literals
-left to right.  A positive call that is a variant of an ancestor call on
-the current derivation path fails (loop check), which makes the kind of
-left recursion found in family-tree rule sets terminate.  Negation as
-failure runs the positive atom in a sub-derivation on a slice of the
-remaining step budget; non-ground negated calls flounder loudly.
+left to right.  A call whose first argument is bound tries only the
+clauses whose head's first argument can match it (first-argument
+indexing).  A positive call that is a variant of an ancestor call on the
+current derivation path fails (loop check), which makes the kind of left
+recursion found in family-tree rule sets terminate.  Negation as failure
+runs the positive atom in a sub-derivation on a slice of the remaining
+step budget; non-ground negated calls flounder loudly.
+
+Unless the program defines them, `insert_sorted/3` is native and
+`member/2` walks a list's cells in one choice point: one step per cell,
+no loop-check key and no derivation level per cell.
 
 Answers stream lazily from a generator.  The stream ends in one of three
 ways: normal exhaustion, `BudgetExceeded`, or `SolveTimeout` (the latter
@@ -23,10 +29,13 @@ from .parser import parse_program
 from .program import Clause, Literal, PredId, Program
 from .terms import (
     EMPTY_LIST,
+    LIST_FUNCTOR,
+    Const,
     Struct,
     Subst,
     Term,
     Var,
+    _walk,
     apply_subst,
     format_term,
     list_parts,
@@ -99,10 +108,11 @@ subset([H|T], L) :- member(H, L), subset(T, L).
 PRELUDE: Program = parse_program(_PRELUDE_TEXT)
 
 _INSERT_SORTED = PredId("insert_sorted", 3)
+_MEMBER = PredId("member", 2)
 
 # Predicates the solver provides when the program does not define them.
 PRELUDE_PREDS: Tuple[PredId, ...] = (
-    PredId("member", 2),
+    _MEMBER,
     PredId("subset", 2),
     _INSERT_SORTED,
 )
@@ -163,6 +173,82 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
     return cyclic
 
 
+def _first_arg_table(
+    clauses: Tuple[Clause, ...],
+) -> Tuple[Dict[object, Tuple[Clause, ...]], Tuple[Clause, ...]]:
+    """Index a predicate's clauses by the first argument of their heads.
+
+    Returns a dict from each key some head has (a constant's value, or a
+    compound's functor and arity) to the clauses a call with that key can
+    match: those with the key and those with a variable there.  The second
+    value holds the variable-headed clauses alone, for keys no head has.
+    Both keep source order.
+    """
+    by_key: Dict[object, List[Clause]] = {}
+    open_heads: List[Clause] = []
+    for c in clauses:
+        first = c.head.args[0]
+        if type(first) is Var:
+            open_heads.append(c)
+            for matching in by_key.values():
+                matching.append(c)
+            continue
+        k = _arg_key(first)
+        matching = by_key.get(k)
+        if matching is None:
+            matching = by_key[k] = list(open_heads)
+        matching.append(c)
+    return {k: tuple(v) for k, v in by_key.items()}, tuple(open_heads)
+
+
+def _arg_key(t: Term) -> object:
+    """Index key of a bound argument: int 1, atom '1' and f/1 stay apart."""
+    return t.value if type(t) is Const else (t.functor, len(t.args))
+
+
+class _ProgramIndex:
+    """What the solver derives from a program, built once per program.
+
+    `lookup` maps each predicate to its clauses, the prelude filling in
+    what the program does not define; `cyclic` holds the predicates on a
+    cycle of the call graph; `tables` holds a predicate's first-argument
+    table from the first call to it with a bound first argument.  It is
+    cached on the program, so NAF sub-derivations and every solve over the
+    same program (the planner's one per plan length) share it.
+    """
+
+    __slots__ = ("lookup", "cyclic", "tables", "native_insert", "native_member")
+
+    def __init__(self, program: Program):
+        lookup = dict(program.index)
+        for pred, clauses in PRELUDE.index.items():
+            lookup.setdefault(pred, clauses)
+        self.lookup = lookup
+        self.cyclic = _cyclic_preds(lookup)
+        self.tables: Dict[PredId, tuple] = {}
+        self.native_insert = _INSERT_SORTED not in program.index
+        self.native_member = _MEMBER not in program.index
+
+    def clauses(self, pred: PredId, first: Term) -> Tuple[Clause, ...]:
+        """The clauses of `pred` a call whose first argument is `first`
+        (resolved, not a variable) can match, in source order."""
+        table = self.tables.get(pred)
+        if table is None:
+            table = self.tables[pred] = _first_arg_table(self.lookup[pred])
+        return table[0].get(_arg_key(first), table[1])
+
+
+def _program_index(program: Program) -> _ProgramIndex:
+    idx = program.solver_index
+    if idx is None:
+        idx = program.solver_index = _ProgramIndex(program)
+    return idx
+
+
+def _is_cell(t: Term) -> bool:
+    return type(t) is Struct and t.functor == LIST_FUNCTOR and len(t.args) == 2
+
+
 _FAILED = object()
 
 
@@ -173,8 +259,6 @@ class _Solver:
         goals: Sequence[Literal],
         config: SolveConfig,
         budget: Optional[_Budget] = None,
-        lookup: Optional[Dict[PredId, Tuple[Clause, ...]]] = None,
-        cyclic: Optional[Set[PredId]] = None,
         fresh: Optional[Iterator[int]] = None,
     ):
         if not goals:
@@ -191,16 +275,7 @@ class _Solver:
         self.fresh = fresh if fresh is not None else itertools.count()
         self.bindings: Subst = {}
         self.trail: List[str] = []
-        if lookup is None:
-            lookup = dict(program.index)
-            for pred, clauses in PRELUDE.index.items():
-                if pred not in lookup:
-                    lookup[pred] = clauses
-        self.lookup = lookup
-        self.native_insert = _INSERT_SORTED not in program.index
-        if cyclic is None:
-            cyclic = _cyclic_preds(self.lookup) if config.loop_check else set()
-        self.cyclic = cyclic
+        self.index = _program_index(program)
         seen: Dict[str, None] = {}
         for lit in goals:
             for name in term_vars(lit.atom):
@@ -237,29 +312,20 @@ class _Solver:
                 ok = nxt if self._builtin(lit) else _FAILED
             else:
                 pred = lit.pred
-                if self.native_insert and pred == _INSERT_SORTED:
+                if self.index.native_insert and pred == _INSERT_SORTED:
                     self.budget.step()
                     ok = nxt if self._insert_sorted(lit.atom) else _FAILED
                 else:
                     if depth >= cfg.max_depth:
                         raise BudgetExceeded(f"derivation depth cap {cfg.max_depth} exceeded")
-                    key = None
-                    if cfg.loop_check and pred in self.cyclic:
-                        key = variant_key(lit.atom, self.bindings)
-                        if self._seen_on_path(anc, pred, key):
-                            self.budget.step()
-                            cur = self._backtrack(cps)
-                            if cur is _FAILED:
-                                return
-                            continue
-                    if cfg.trace is not None:
-                        cfg.trace("  " * depth + "call " + format_term(apply_subst(self.bindings, lit.atom)))
-                    clauses = self.lookup.get(pred, ())
-                    cp = [cur, clauses, 0, len(self.trail), key]
-                    cps.append(cp)
-                    ok = self._try_clauses(cp)
-                    if ok is _FAILED:
-                        cps.pop()
+                    cp = self._choice_point(cur, pred)
+                    if cp is None:
+                        ok = _FAILED
+                    else:
+                        cps.append(cp)
+                        ok = self._resume(cp)
+                        if ok is _FAILED:
+                            cps.pop()
             if ok is _FAILED:
                 cur = self._backtrack(cps)
                 if cur is _FAILED:
@@ -269,15 +335,55 @@ class _Solver:
 
     def _backtrack(self, cps: List[list]) -> object:
         while cps:
-            nxt = self._try_clauses(cps[-1])
+            nxt = self._resume(cps[-1])
             if nxt is not _FAILED:
                 return nxt
             cps.pop()
         undo_trail(self.bindings, self.trail, 0)
         return _FAILED
 
-    def _try_clauses(self, cp: list) -> object:
+    def _choice_point(self, node: tuple, pred: PredId) -> Optional[list]:
+        """Open the choice point of a call, or return None if the loop check cuts it.
+
+        A choice point is [node, alternatives, position, trail mark, key].
+        The alternatives are the call's candidate clauses, or, for a native
+        member/2 walk, the rest of the list.
+        """
+        lit, anc, depth, _ = node
+        atom = lit.atom
+        idx = self.index
+        cfg = self.config
+        cell = None
+        if pred == _MEMBER and idx.native_member:
+            cell = _walk(atom.args[1], self.bindings)
+            if not _is_cell(cell):
+                cell = None
+        key = None
+        if cell is None and cfg.loop_check and pred in idx.cyclic:
+            key = variant_key(atom, self.bindings)
+            if self._seen_on_path(anc, pred, key):
+                self.budget.step()
+                return None
+        if cfg.trace is not None:
+            cfg.trace("  " * depth + "call " + format_term(apply_subst(self.bindings, atom)))
+        if cell is not None:
+            return [node, cell, 0, len(self.trail), None]
+        clauses = idx.lookup.get(pred, ())
+        if clauses and type(atom) is Struct:
+            first = _walk(atom.args[0], self.bindings)
+            if type(first) is not Var:
+                clauses = idx.clauses(pred, first)
+        return [node, clauses, 0, len(self.trail), key]
+
+    def _resume(self, cp: list) -> object:
+        """Take the choice point's next alternative.
+
+        Returns the goal node to continue with, or _FAILED with the trail
+        undone to the choice point's mark when no alternative is left.
+        """
         node, clauses, _, mark, key = cp
+        if type(clauses) is not tuple:
+            return self._next_cell(cp)
         lit, anc, depth, nxt = node
         while cp[2] < len(clauses):
             clause = clauses[cp[2]]
@@ -295,6 +401,31 @@ class _Solver:
                 out = (Literal(atom, blit.negated), frame, depth + 1, out)
             return out
         undo_trail(self.bindings, self.trail, mark)
+        return _FAILED
+
+    def _next_cell(self, cp: list) -> object:
+        """Native member(X, L): unify X with the head of the next list cell.
+
+        The rest of the list is resolved only after the trail is undone, so
+        bindings made for one element never steer the walk.  An unbound tail
+        is the last alternative: a member/2 call of its own, on the prelude
+        clauses, at the same depth and with the same ancestors.
+        """
+        node, _, _, mark, _ = cp
+        lit, anc, depth, nxt = node
+        x = lit.atom.args[0]
+        while True:
+            undo_trail(self.bindings, self.trail, mark)
+            rest = _walk(cp[1], self.bindings)
+            if not _is_cell(rest):
+                break
+            self.budget.step()
+            head, cp[1] = rest.args
+            if unify_in_place(x, head, self.bindings, self.trail):
+                return nxt
+        cp[1] = EMPTY_LIST
+        if type(rest) is Var:
+            return (Literal(Struct(_MEMBER.name, (x, rest))), anc, depth, nxt)
         return _FAILED
 
     def _seen_on_path(self, anc, pred: PredId, key: Tuple[int, tuple]) -> bool:
@@ -336,8 +467,6 @@ class _Solver:
                 [Literal(atom)],
                 self.config,
                 budget=self.budget,
-                lookup=self.lookup,
-                cyclic=self.cyclic,
                 fresh=self.fresh,
             )
             for _ in sub.run():
@@ -379,17 +508,30 @@ class _Solver:
         return Answer(values, self.query_vars)
 
     def _present(self, t: Term, free: Dict[str, Term]) -> Term:
-        if isinstance(t, Var):
-            got = free.get(t.name)
-            if got is None:
-                i = len(free)
-                label = chr(ord("A") + i) if i < 26 else f"V{i}"
-                got = Var(f"_{label}")
-                free[t.name] = got
-            return got
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(self._present(a, free) for a in t.args))
-        return t
+        """Rename a resolved term's variables to _A, _B, ... in first-occurrence
+        order, recording them in `free`; rebuilt from an explicit stack."""
+        todo: List[object] = [t]
+        done: List[Term] = []
+        while todo:
+            cur = todo.pop()
+            if type(cur) is tuple:
+                functor, n = cur
+                args = tuple(done[-n:])
+                del done[-n:]
+                done.append(Struct(functor, args))
+            elif type(cur) is Var:
+                got = free.get(cur.name)
+                if got is None:
+                    i = len(free)
+                    label = chr(ord("A") + i) if i < 26 else f"V{i}"
+                    got = free[cur.name] = Var(f"_{label}")
+                done.append(got)
+            elif type(cur) is Struct and not cur.ground:
+                todo.append((cur.functor, len(cur.args)))
+                todo.extend(reversed(cur.args))
+            else:
+                done.append(cur)
+        return done[0]
 
 
 def solve(

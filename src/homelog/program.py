@@ -97,10 +97,11 @@ class Program:
     """An ordered clause list with a (name, arity) -> clauses index.
 
     The index is an exact partition of the clauses; both views preserve
-    source order.
+    source order.  `solver_index` caches what the solver derives from the
+    clauses (see `engine._ProgramIndex`); it is filled on the first solve.
     """
 
-    __slots__ = ("clauses", "index")
+    __slots__ = ("clauses", "index", "solver_index")
 
     def __init__(self, clauses: Iterable[Clause]):
         self.clauses: Tuple[Clause, ...] = tuple(clauses)
@@ -110,6 +111,7 @@ class Program:
         self.index: Dict[PredId, Tuple[Clause, ...]] = {
             k: tuple(v) for k, v in index.items()
         }
+        self.solver_index = None
 
     def __len__(self) -> int:
         return len(self.clauses)

@@ -154,15 +154,15 @@ def list_parts(t: Term) -> Tuple[List[Term], Term]:
 
 
 def term_vars(t: Term) -> List[str]:
-    """Variable names in first-occurrence order."""
+    """Variable names in first-occurrence order; ground compounds are skipped."""
     seen: Dict[str, None] = {}
     stack = [t]
     while stack:
         cur = stack.pop()
-        if isinstance(cur, Var):
+        if type(cur) is Var:
             if cur.name not in seen:
                 seen[cur.name] = None
-        elif isinstance(cur, Struct):
+        elif type(cur) is Struct and not cur.ground:
             stack.extend(reversed(cur.args))
     return list(seen)
 
@@ -364,15 +364,39 @@ def variant_of(t1: Term, t2: Term) -> bool:
 
 
 def format_term(t: Term) -> str:
-    """Canonical text form; proper and partial lists print with bracket sugar."""
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        return str(t.value)
-    if t.functor == LIST_FUNCTOR and len(t.args) == 2:
-        items, tail = list_parts(t)
-        inner = ", ".join(format_term(i) for i in items)
-        if tail == EMPTY_LIST:
-            return f"[{inner}]"
-        return f"[{inner}|{format_term(tail)}]"
-    return f"{t.functor}({', '.join(format_term(a) for a in t.args)})"
+    """Canonical text form; proper and partial lists print with bracket sugar.
+
+    The text is written from an explicit stack of terms and pending
+    punctuation, so nesting depth does not deepen the Python stack.
+    """
+    out: List[str] = []
+    todo: List[object] = [t]
+    while todo:
+        cur = todo.pop()
+        if type(cur) is str:
+            out.append(cur)
+        elif type(cur) is Var:
+            out.append(cur.name)
+        elif type(cur) is Const:
+            out.append(str(cur.value))
+        elif cur.functor == LIST_FUNCTOR and len(cur.args) == 2:
+            items, tail = list_parts(cur)
+            todo.append("]")
+            if tail != EMPTY_LIST:
+                todo.append(tail)
+                todo.append("|")
+            _push_args(todo, items)
+            todo.append("[")
+        else:
+            todo.append(")")
+            _push_args(todo, cur.args)
+            todo.append(cur.functor + "(")
+    return "".join(out)
+
+
+def _push_args(todo: List[object], args) -> None:
+    """Push comma-separated terms so that they pop in order."""
+    for i in range(len(args) - 1, 0, -1):
+        todo.append(args[i])
+        todo.append(", ")
+    todo.append(args[0])

@@ -3,7 +3,9 @@
 import pytest
 
 from conftest import FAMILY_TEXT
+import homelog.cli as cli
 from homelog.cli import (
+    EXIT_INTERNAL,
     EXIT_NO_ANSWER,
     EXIT_OK,
     EXIT_PARSE,
@@ -237,3 +239,13 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert cli_main(["frobnicate"]) == EXIT_USAGE
+
+
+def test_internal_error_has_its_own_exit_code(family_file, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    assert cli_main(["parse", family_file]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: boom\n"

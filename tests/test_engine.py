@@ -14,7 +14,7 @@ from homelog.engine import (
 )
 from homelog.fixpoint import fixpoint_answers
 from homelog.parser import parse_program, parse_query
-from homelog.program import Literal, PredId
+from homelog.program import Clause, Literal, PredId, Program
 from homelog.terms import Const, Struct, Var, format_term, make_list
 
 
@@ -116,6 +116,10 @@ def test_program_definition_overrides_prelude():
     p = parse_program("member(zzz, _).")
     answers = answers_for(p, "?- member(X, [a, b]).")
     assert [str(a) for a in answers] == ["X = zzz"]
+    # A program's own member/2 also replaces the native list walk.
+    p = parse_program("member(X, [_|T]) :- member(X, T). member(X, [X|_]).")
+    answers = answers_for(p, "?- member(X, [a, b, c]).")
+    assert [str(a) for a in answers] == ["X = c", "X = b", "X = a"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,6 +155,116 @@ def test_program_can_redefine_insert_sorted():
     p = parse_program("insert_sorted(a, b, c).")
     answers = answers_for(p, "?- insert_sorted(a, b, Z).")
     assert [str(a) for a in answers] == ["Z = c"]
+
+
+# -- first-argument indexing --------------------------------------------------------
+
+
+def test_indexing_keeps_source_order_around_variable_heads():
+    p = parse_program("p(a, 1). p(X, 2). p(b, 3). p(a, 4). p(Y, 5).")
+    assert [str(a) for a in answers_for(p, "?- p(a, N).")] == ["N = 1", "N = 2", "N = 4", "N = 5"]
+    assert [str(a) for a in answers_for(p, "?- p(b, N).")] == ["N = 2", "N = 3", "N = 5"]
+    assert [str(a) for a in answers_for(p, "?- p(c, N).")] == ["N = 2", "N = 5"]
+
+
+def test_indexing_tells_integers_from_lookalike_atoms():
+    p = Program(
+        Clause(Struct("p", (first, Const(tag))))
+        for first, tag in ((Const(1), "int"), (Const("1"), "atom"), (Const("i1"), "i1"))
+    )
+    for first, tag in ((Const(1), "int"), (Const("1"), "atom"), (Const("i1"), "i1")):
+        goal = Literal(Struct("p", (first, Var("T"))))
+        answers, status = solve_all(p, [goal])
+        assert status == "exhausted"
+        assert [str(a) for a in answers] == [f"T = {tag}"]
+        # Not only the answers: the index offers that one clause alone.
+        picked = p.solver_index.clauses(PredId("p", 2), first)
+        assert [format_term(c.head.args[1]) for c in picked] == [tag]
+
+
+def test_indexing_tells_compounds_apart_by_functor_and_arity():
+    p = parse_program("q(f(a), one). q(f(a, b), two). q(g(a), three). q(X, any).")
+    assert [str(a) for a in answers_for(p, "?- q(f(Z), N).")] == ["Z = a, N = one", "Z = _A, N = any"]
+    assert [str(a) for a in answers_for(p, "?- q(f(a, W), N).")] == ["W = b, N = two", "W = _A, N = any"]
+    assert [str(a) for a in answers_for(p, "?- q(g(a), N).")] == ["N = three", "N = any"]
+    assert [str(a) for a in answers_for(p, "?- q(h, N).")] == ["N = any"]
+    for first, tags in (
+        (Struct("f", (Var("Z"),)), ["one", "any"]),
+        (Struct("f", (Const("a"), Var("W"))), ["two", "any"]),
+        (Struct("g", (Const("a"),)), ["three", "any"]),
+        (Const("f"), ["any"]),
+    ):
+        picked = p.solver_index.clauses(PredId("q", 2), first)
+        assert [format_term(c.head.args[1]) for c in picked] == tags
+
+
+def test_unbound_first_argument_tries_every_clause():
+    p = parse_program("q(f(a), one). q(f(a, b), two). q(g(a), three). q(X, any). q(7, seven).")
+    answers = answers_for(p, "?- q(W, N).")
+    assert [format_term(a.bindings["N"]) for a in answers] == ["one", "two", "three", "any", "seven"]
+    # Bound through a variable counts as bound.
+    assert [str(a) for a in answers_for(p, "?- Y = 7, q(Y, N).")] == ["Y = 7, N = any", "Y = 7, N = seven"]
+
+
+def test_naf_sub_derivation_shares_the_program_index():
+    p = parse_program("ok(X) :- cand(X), not bad(X). cand(a). cand(b). cand(d). bad(b). bad(c).")
+    assert [str(a) for a in answers_for(p, "?- ok(X).")] == ["X = a", "X = d"]
+    index = p.solver_index
+    # bad/1 is only ever called inside NAF sub-derivations; its table is
+    # in the index the outer solve made, so they shared it.
+    assert PredId("bad", 1) in index.tables
+    answers_for(p, "?- ok(d).")
+    assert p.solver_index is index
+
+
+# -- native member/2 -----------------------------------------------------------------
+
+PRELUDE_MEMBER = "member(X, [X|_]). member(X, [_|T]) :- member(X, T).\n"
+
+
+def test_native_member_over_a_partial_list_matches_the_prelude_clauses():
+    # A program that defines member/2 itself runs the prelude's clauses
+    # through ordinary resolution: the reference.
+    query = "?- member(X, [a|T])."
+    native = answers_for(parse_program("seed(none)."), query)
+    clauses = answers_for(parse_program(PRELUDE_MEMBER), query)
+    assert [str(a) for a in native] == [str(a) for a in clauses] == [
+        "X = a, T = _A",
+        "X = _A, T = [_A|_B]",
+    ]
+    # Without the loop check the answers go on for ever; under one step
+    # budget both give a prefix of the same sequence.
+    cfg = SolveConfig(loop_check=False, step_budget=100)
+    runs = []
+    for program in (parse_program("seed(none)."), parse_program(PRELUDE_MEMBER)):
+        answers, status = solve_all(program, parse_query(query), cfg)
+        assert status == "budget_exceeded"
+        runs.append([str(a) for a in answers])
+    shorter, longer = sorted(runs, key=len)
+    assert len(shorter) >= 10
+    assert shorter == longer[: len(shorter)]
+    assert longer[2] == "X = _A, T = [_B, _A|_C]"
+
+
+def test_native_member_yields_duplicates_in_order():
+    p = parse_program("q(X) :- member(X, [b, a, b, c, a]), r(X). r(_).")
+    lines = []
+    assert [str(a) for a in answers_for(p, "?- q(X).", SolveConfig(trace=lines.append))] == [
+        "X = b", "X = a", "X = c",
+    ]
+    calls = [line.strip() for line in lines if line.strip().startswith("call r(")]
+    assert calls == ["call r(b)", "call r(a)", "call r(b)", "call r(c)", "call r(a)"]
+    assert sum(line.strip().startswith("call member(") for line in lines) == 1
+
+
+def test_member_resolves_the_tail_before_each_element():
+    # Matching f(T) against f(a) binds T; the walk must go on into the
+    # unbound T, whose prelude clauses then search without end, not into a.
+    query = "?- member(f(T), [f(a)|T])."
+    for program in (parse_program("seed(none)."), parse_program(PRELUDE_MEMBER)):
+        answers, status = solve_all(program, parse_query(query), SolveConfig(step_budget=300))
+        assert [str(a) for a in answers] == ["T = a"]
+        assert status == "budget_exceeded"
 
 
 # -- negation as failure -----------------------------------------------------------
@@ -214,11 +328,27 @@ def test_loop_check_tells_integers_from_lookalike_atoms():
 
 
 def test_member_over_a_long_list_fact():
-    # The loop-check key, the occurs check and renaming walk the whole list;
-    # none of them may recurse once per element.
-    items = ", ".join(f"x{i}" for i in range(3000))
+    # The occurs check and renaming walk the whole list; neither may
+    # recurse once per element.  The member/2 walk spends no derivation
+    # level per cell, so the 10,000-level depth cap does not bound it.
+    items = ", ".join(f"x{i}" for i in range(20_000))
     p = parse_program(f"items([{items}]).\nhas(X) :- items(L), member(X, L).\n")
     assert [str(a) for a in answers_for(p, "?- has(x1500).")] == ["yes"]
+    assert [str(a) for a in answers_for(p, "?- has(x19999).")] == ["yes"]
+    assert answers_for(p, "?- has(x20000).") == []
+
+
+def test_long_answers_print_without_recursion():
+    items = ", ".join(f"x{i}" for i in range(10_000))
+    p = parse_program(f"items([{items}]).\n")
+    [answer] = answers_for(p, "?- items(L).")
+    assert str(answer) == f"L = [{items}]"
+    deep = Var("X")
+    for _ in range(10_000):
+        deep = Struct("f", (deep,))
+    p = Program([Clause(Struct("deep", (deep,)))])
+    [answer] = answers_for(p, "?- deep(T).")
+    assert str(answer) == "T = " + "f(" * 10_000 + "_A" + ")" * 10_000
 
 
 def test_depth_cap_raises():

@@ -108,6 +108,26 @@ def test_term_vars_first_occurrence_order():
     assert term_vars(t) == ["Y", "X"]
 
 
+def test_term_vars_skips_ground_compounds():
+    ground = make_list([Const(f"x{i}") for i in range(10_000)])
+    t = Struct("state", (Var("S"), ground, Struct("g", (Var("T"), Var("S")))))
+    assert term_vars(t) == ["S", "T"]
+    # The walk trusts the flag: it does not look inside a compound marked
+    # ground, which is what keeps it from walking long ground lists.
+    marked = Struct("h", (Var("Hidden"),))
+    marked.ground = True
+    assert term_vars(Struct("f", (marked, Var("S")))) == ["S"]
+
+
+def test_format_term_of_deep_terms_does_not_recurse():
+    deep = Var("X")
+    for _ in range(10_000):
+        deep = Struct("f", (deep,))
+    assert format_term(deep) == "f(" * 10_000 + "X" + ")" * 10_000
+    nested = make_list([Const("a"), Struct("g", (make_list([Const(1)]), deep))], Var("T"))
+    assert format_term(nested) == "[a, g([1], " + format_term(deep) + ")|T]"
+
+
 # -- unification ------------------------------------------------------------------
 
 
