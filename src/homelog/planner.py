@@ -38,6 +38,7 @@ __all__ = [
     "BENCH_TASK_NAMES",
     "DOMAIN_KB_TEXT",
     "domain_kb",
+    "planning_kb",
     "encode_goal_fluents",
     "encode_task",
     "plan",
@@ -206,7 +207,8 @@ device(X) :- off(X).
 
 % effects: successor fluent lists stay sorted and duplicate-free
 update(walk(X), State, State2) :-
-    update_walking(X, State, State, [close(X)], State2).
+    update_walking(State, State, Kept),
+    insert_sorted(close(X), Kept, State2).
 update(grab(X), State, State2) :- insert_sorted(holds(X), State, State2).
 update(switchon(X), State, State2) :- insert_sorted(on(X), State, State2).
 update(switchoff(X), State, State2) :- remove_fluent(on(X), State, State2).
@@ -214,23 +216,21 @@ update(sit(X), State, State2) :- insert_sorted(sitting_on(X), State, State2).
 update(standup, State, State2) :- remove_fluent(sitting_on(_), State, State2).
 
 % walking keeps held items close and whatever was switched on stays on;
-% closeness to anything not held is lost, and the agent stands up
-update_walking(_, [], _, Acc, Acc).
-update_walking(X, [close(Y)|Rest], State, Acc, Out) :-
+% closeness to anything not held is lost, and the agent stands up.  One
+% pass in state order, so the kept fluents stay sorted.
+update_walking([], _, []).
+update_walking([close(Y)|Rest], State, [close(Y)|Kept]) :-
     member(holds(Y), State),
-    insert_sorted(close(Y), Acc, Acc2),
-    update_walking(X, Rest, State, Acc2, Out).
-update_walking(X, [close(Y)|Rest], State, Acc, Out) :-
+    update_walking(Rest, State, Kept).
+update_walking([close(Y)|Rest], State, Kept) :-
     not member(holds(Y), State),
-    update_walking(X, Rest, State, Acc, Out).
-update_walking(X, [holds(Y)|Rest], State, Acc, Out) :-
-    insert_sorted(holds(Y), Acc, Acc2),
-    update_walking(X, Rest, State, Acc2, Out).
-update_walking(X, [on(Y)|Rest], State, Acc, Out) :-
-    insert_sorted(on(Y), Acc, Acc2),
-    update_walking(X, Rest, State, Acc2, Out).
-update_walking(X, [sitting_on(_)|Rest], State, Acc, Out) :-
-    update_walking(X, Rest, State, Acc, Out).
+    update_walking(Rest, State, Kept).
+update_walking([holds(Y)|Rest], State, [holds(Y)|Kept]) :-
+    update_walking(Rest, State, Kept).
+update_walking([on(Y)|Rest], State, [on(Y)|Kept]) :-
+    update_walking(Rest, State, Kept).
+update_walking([sitting_on(_)|Rest], State, Kept) :-
+    update_walking(Rest, State, Kept).
 
 remove_fluent(F, [F|Rest], Rest).
 remove_fluent(F, [G|Rest], [G|Rest2]) :-
@@ -262,6 +262,15 @@ complete_task(sit_on_couch, P) :-
 def domain_kb() -> Program:
     """The planning knowledge base, parsed once."""
     return parse_program(DOMAIN_KB_TEXT)
+
+
+@lru_cache(maxsize=1)
+def planning_kb() -> Program:
+    """The knowledge base's slice for transform/2, cut once.  Scene facts
+    add no dependency edges and the knowledge base calls each of their
+    predicates, so this slice plus a scene's facts is the slice of both."""
+    query = [Literal(Struct("transform", (Var("Goals"), Var("Plan"))))]
+    return prune_program(domain_kb(), query)
 
 
 def encode_goal_fluents(task: Task, state: WorldState) -> List[Term]:
@@ -308,18 +317,18 @@ def plan(
 ) -> Optional[List[Action]]:
     """Find a shortest plan for the task, or None when there is none.
 
-    The combined program (knowledge base + scene facts) is solved with
-    an exact-length action skeleton for each length 1..max_plan_len in
-    turn.  SolveTimeout and BudgetExceeded propagate.
+    The combined program (planning_kb(), or the whole knowledge base
+    without pruning, + scene facts) is solved with an exact-length action
+    skeleton for each length 1..max_plan_len in turn.  SolveTimeout and
+    BudgetExceeded propagate.
     """
     options = options or PlanOptions()
     if goal_satisfied(state, task):
         return []
 
     goal_list = make_list(encode_goal_fluents(task, state))
-    program = domain_kb() + state_to_facts(state)
-    if options.prune:
-        program = prune_program(program, [encode_task(task, state)])
+    kb = planning_kb() if options.prune else domain_kb()
+    program = kb + state_to_facts(state)
 
     base_cfg = options.config
     deadline = None

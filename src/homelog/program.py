@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
 from .terms import Const, Struct, Term, Var, format_term
@@ -78,19 +78,17 @@ class Clause:
 
     head: Term
     body: Tuple[Literal, ...] = ()
+    head_pred: PredId = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         hp = pred_of(self.head)  # raises on non-atoms
         if hp.name in BUILTIN_FUNCTORS and hp.arity == 2:
             raise ValueError(f"cannot define builtin {hp}")
+        object.__setattr__(self, "head_pred", hp)
 
     @property
     def is_fact(self) -> bool:
         return not self.body
-
-    @property
-    def head_pred(self) -> PredId:
-        return pred_of(self.head)
 
 
 class Program:

@@ -36,7 +36,15 @@ from homelog.program import Literal, PredId
 from homelog.relevance import prune_program
 from homelog.scenes import six_object_scene
 from homelog.terms import Struct, Var, make_list
-from homelog.world import action_term, fluent_list, legal, random_scene, state_to_facts
+from homelog.world import (
+    action_term,
+    apply_action,
+    fluent_list,
+    legal,
+    legal_actions,
+    random_scene,
+    state_to_facts,
+)
 
 LARGE_SCENE_SEED = 7
 LARGE_SCENE_OBJECTS = 100
@@ -219,6 +227,26 @@ def test_criterion_6_simulator_and_rules_agree_on_legality():
         if kb_ok != native_ok:
             disagreements.append((str(action), native_ok, kb_ok))
     assert disagreements == []
+
+
+def test_kb_update_agrees_with_the_simulator():
+    """Criterion 6's companion for effects: on every distinct sampled state,
+    each legal action's update/3 has exactly one answer, the simulator's
+    successor fluent list."""
+    pairs = random_state_action_pairs(1000, seed=1234)
+    states = {id(state): state for state, _ in pairs}
+    kinds = set()
+    for state in states.values():
+        before = make_list(fluent_list(state))
+        for action in legal_actions(state):
+            goal = Literal(Struct("update", (action_term(action), before, Var("S2"))))
+            answers, status = solve_all(domain_kb(), [goal])
+            assert status == "exhausted"
+            assert len(answers) == 1, str(action)
+            want = make_list(fluent_list(apply_action(state, action)))
+            assert answers[0].bindings["S2"] == want, str(action)
+            kinds.add(action.name)
+    assert kinds == {"walk", "grab", "switchon", "switchoff", "sit", "standup"}
 
 
 def test_criterion_7_published_listings_parse_verbatim():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_TEXTS
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
-from homelog.program import Clause, Literal, PredId, format_clause, format_program
+from homelog.program import Clause, Literal, PredId, format_clause, format_program, pred_of
 from homelog.terms import Const, Struct, Var, format_term, make_list
 
 
@@ -66,6 +66,37 @@ def test_builtin_head_rejected():
         parse_program("=(a, b).")
     with pytest.raises(ParseError):
         parse_program("X = a.")
+
+
+_heads = st.sampled_from([
+    Const("p"),
+    Struct("p", (Var("X"),)),
+    Struct("p", (Const("a"),)),
+    Struct("p", (Var("X"), Var("Y"))),
+    Struct("q", (Var("X"),)),
+])
+_bodies = st.sampled_from([
+    (),
+    (Literal(Struct("q", (Var("X"),))),),
+    (Literal(Struct("q", (Var("X"),)), negated=True),),
+    (Literal(Struct("q", (Var("X"),))), Literal(Struct("\\=", (Var("X"), Const("a"))))),
+])
+
+
+@given(_heads, _bodies, _heads, _bodies)
+def test_clause_identity_is_its_head_and_body(h1, b1, h2, b2):
+    c1, c2 = Clause(h1, b1), Clause(h2, b2)
+    assert c1.head_pred == pred_of(h1)
+    assert (c1 == c2) == (h1 == h2 and b1 == b2)
+    if c1 == c2:
+        assert hash(c1) == hash(c2)
+
+
+def test_clause_cannot_define_a_builtin():
+    with pytest.raises(ValueError):
+        Clause(Struct("=", (Var("X"), Const("a"))))
+    with pytest.raises(ValueError):
+        Clause(Struct("\\=", (Var("X"), Const("a"))), (Literal(Struct("q", (Var("X"),))),))
 
 
 def test_comments_and_whitespace():

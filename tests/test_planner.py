@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import bfs_plan_length
+from homelog import planner
 from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve
 from homelog.planner import (
     BENCH_TASK_NAMES,
@@ -19,10 +20,11 @@ from homelog.planner import (
     execute_plan,
     goal_satisfied,
     plan,
+    planning_kb,
 )
 from homelog.program import PredId
-from homelog.relevance import BUILTIN_PREDS
-from homelog.scenes import minimal_scene
+from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
+from homelog.scenes import minimal_scene, six_object_scene
 from homelog.terms import Const, Struct, Var, format_term, make_list, variant_key
 from homelog.world import (
     IllegalAction,
@@ -70,7 +72,7 @@ def test_kb_defines_the_expected_predicates():
     for name, arity in [
         ("initial_state", 1), ("transform", 2), ("transform", 4),
         ("choose_action", 3), ("suggest", 2), ("legal_action", 2),
-        ("update", 3), ("update_walking", 5), ("remove_fluent", 3),
+        ("update", 3), ("update_walking", 3), ("remove_fluent", 3),
         ("complete_task", 2), ("sitting", 1), ("hands_full", 1), ("device", 1),
     ]:
         assert kb.defines(PredId(name, arity)), f"{name}/{arity}"
@@ -261,6 +263,44 @@ def test_plan_lengths_match_breadth_first_search_on_small_scenes(seed):
         else:
             assert len(actions) == want
             assert goal_satisfied(execute_plan(scene, actions), task)
+
+
+@pytest.mark.parametrize("scene", [six_object_scene(), random_scene(7, 100)],
+                         ids=["six_scene", "random_7_100"])
+def test_plan_slices_the_knowledge_base_once(monkeypatch, scene):
+    """The program plan solves equals the slice of the knowledge base plus
+    the scene's facts, and every predicate a scene states is one the
+    knowledge base can call, so no fact is lost by slicing only the KB."""
+    solved = []
+
+    def spy(program, goals, config=None):
+        solved.append(program)
+        return solve(program, goals, config)
+
+    monkeypatch.setattr(planner, "solve", spy)
+    facts = state_to_facts(scene)
+    for task in TASK_CATALOG.values():
+        solved.clear()
+        plan(scene, task)
+        assert solved, task.name
+        want = prune_program(domain_kb() + facts, [encode_task(task, scene)])
+        assert all(program == want for program in solved), task.name
+
+    query = [encode_task(TASK_CATALOG["grab_remote"], scene)]
+    assert set(facts.index) <= reachable(build_depgraph(planning_kb(), query))
+
+
+def test_every_task_plans_shortest_on_a_3000_object_scene():
+    scene = random_scene(7, 3000)
+    assert not scene.agent.close and not scene.agent.held
+    options = PlanOptions(config=SolveConfig(wall_timeout=60.0))
+    lengths = []
+    for task in TASK_CATALOG.values():
+        actions = plan(scene, task, options)
+        assert actions is not None, task.name
+        assert goal_satisfied(execute_plan(scene, actions), task), task.name
+        lengths.append(len(actions))
+    assert lengths == [1, 2, 4, 4, 2]
 
 
 def test_plan_timeout_propagates():
