@@ -3,7 +3,9 @@
 Search is depth-first, clauses are tried in source order, body literals
 left to right.  A call whose first argument is bound tries only the
 clauses whose head's first argument can match it (first-argument
-indexing).  A positive call that is a variant of an ancestor call on the
+indexing).  A clause is tried without copying it: the call is unified
+with the clause's compiled head over a fresh frame of its variables, and
+the body is built from that frame only once the head matches.  A positive call that is a variant of an ancestor call on the
 current derivation path fails (loop check), which makes the kind of left
 recursion found in family-tree rule sets terminate.  Negation as failure
 runs the positive atom in a sub-derivation on a slice of the remaining
@@ -35,6 +37,7 @@ from .terms import (
     Subst,
     Term,
     Var,
+    _occurs,
     _walk,
     apply_subst,
     format_term,
@@ -148,28 +151,50 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
     """Predicates that sit on a cycle of the program's call graph.
 
     Only these can ever meet a same-predicate ancestor on a derivation
-    path, so the variant loop check is restricted to them.
+    path, so the variant loop check is restricted to them.  Facts add no
+    edges, so the graph is read from the rules alone, and its strongly
+    connected components come from one iterative pass (Tarjan's).
     """
     adj: Dict[PredId, Set[PredId]] = {}
     for pred, clauses in index.items():
-        succ = adj.setdefault(pred, set())
         for c in clauses:
-            for lit in c.body:
-                if not lit.is_builtin:
-                    succ.add(lit.pred)
+            if c.body:
+                succ = adj.setdefault(pred, set())
+                succ.update(lit.pred for lit in c.body if not lit.is_builtin)
+    order: Dict[PredId, int] = {}
+    low: Dict[PredId, int] = {}
+    stack: List[PredId] = []
     cyclic: Set[PredId] = set()
-    for start in adj:
-        seen: Set[PredId] = set()
-        stack = list(adj[start])
-        while stack:
-            p = stack.pop()
-            if p == start:
-                cyclic.add(start)
-                break
-            if p in seen:
-                continue
-            seen.add(p)
-            stack.extend(adj.get(p, ()))
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack.append(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, succs = work[-1]
+            for w in succs:
+                if w not in adj:
+                    continue  # no rules: on no cycle
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append(w)
+                    work.append((w, iter(adj[w])))
+                    break
+                if w in low:  # still on the stack
+                    low[v] = min(low[v], order[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    component = []
+                    while not component or component[-1] != v:
+                        component.append(stack.pop())
+                        del low[component[-1]]
+                    if len(component) > 1 or v in adj[v]:
+                        cyclic.update(component)
     return cyclic
 
 
@@ -286,11 +311,13 @@ class _Solver:
     # -- derivation machinery ------------------------------------------------
 
     def run(self) -> Iterator[Answer]:
-        # Goal stack nodes are (literal, ancestors, depth, next); ancestors
-        # is a linked list of (pred, variant-key, parent) frames.
+        # Goal stack nodes are (atom, literal, ancestors, depth, next): the
+        # atom to solve and the literal it was built from, which carries its
+        # predicate and flags.  Ancestors is a linked list of (pred,
+        # variant-key, parent) frames.
         cur = None
         for lit in reversed(self.goals):
-            cur = (lit, None, 0, cur)
+            cur = (lit.atom, lit, None, 0, cur)
         cps: List[list] = []
         cfg = self.config
         while True:
@@ -302,19 +329,19 @@ class _Solver:
                 if cur is _FAILED:
                     return
                 continue
-            lit, anc, depth, nxt = cur
+            atom, lit, anc, depth, nxt = cur
             ok: object
             if lit.negated:
                 self.budget.step()
-                ok = nxt if self._naf(lit) else _FAILED
+                ok = nxt if self._naf(atom) else _FAILED
             elif lit.is_builtin:
                 self.budget.step()
-                ok = nxt if self._builtin(lit) else _FAILED
+                ok = nxt if self._builtin(atom) else _FAILED
             else:
                 pred = lit.pred
                 if self.index.native_insert and pred == _INSERT_SORTED:
                     self.budget.step()
-                    ok = nxt if self._insert_sorted(lit.atom) else _FAILED
+                    ok = nxt if self._insert_sorted(atom) else _FAILED
                 else:
                     if depth >= cfg.max_depth:
                         raise BudgetExceeded(f"derivation depth cap {cfg.max_depth} exceeded")
@@ -349,8 +376,7 @@ class _Solver:
         The alternatives are the call's candidate clauses, or, for a native
         member/2 walk, the rest of the list.
         """
-        lit, anc, depth, _ = node
-        atom = lit.atom
+        atom, _, anc, depth, _ = node
         idx = self.index
         cfg = self.config
         cell = None
@@ -384,24 +410,82 @@ class _Solver:
         node, clauses, _, mark, key = cp
         if type(clauses) is not tuple:
             return self._next_cell(cp)
-        lit, anc, depth, nxt = node
+        atom, lit, anc, depth, nxt = node
         while cp[2] < len(clauses):
             clause = clauses[cp[2]]
             cp[2] += 1
             undo_trail(self.bindings, self.trail, mark)
             self.budget.step()
-            mapping: Dict[str, str] = {}
-            head = rename_apart_term(clause.head, mapping, self.fresh)
-            if not unify_in_place(lit.atom, head, self.bindings, self.trail):
+            slots, head_args, head_code, body_code = clause.code
+            frame: List[Optional[Term]] = [None] * slots
+            if head_args and not self._unify_head(atom.args, head_args, head_code, frame):
                 continue
-            frame = (lit.pred, key, anc)
             out = nxt
-            for blit in reversed(clause.body):
-                atom = rename_apart_term(blit.atom, mapping, self.fresh)
-                out = (Literal(atom, blit.negated), frame, depth + 1, out)
+            if body_code:
+                up = (lit.pred, key, anc)
+                atoms = rename_apart_term(body_code, frame, self.fresh)
+                body = clause.body
+                for i in range(len(atoms) - 1, -1, -1):
+                    out = (atoms[i], body[i], up, depth + 1, out)
             return out
         undo_trail(self.bindings, self.trail, mark)
         return _FAILED
+
+    def _unify_head(self, args: tuple, templates: tuple, code: tuple, frame: list) -> bool:
+        """Unify a call's arguments with a clause head's argument templates.
+
+        A slot met for the first time takes the call's subterm as it is,
+        with no variable, binding or trail entry; a slot met again is
+        unified with its term.  Constants and ground compounds of the head
+        are shared.  A head compound that meets an unbound variable is built
+        from the frame and bound to it after the occurs check.  On failure
+        the caller undoes the trail.
+        """
+        bindings = self.bindings
+        trail = self.trail
+        todo = list(zip(args, templates))
+        while todo:
+            a, t = todo.pop()
+            if type(t) is int:
+                had = frame[t]
+                if had is None:
+                    frame[t] = a
+                elif not unify_in_place(a, had, bindings, trail):
+                    return False
+                continue
+            while type(a) is Var:
+                b = bindings.get(a.name)
+                if b is None:
+                    break
+                a = b
+            if type(t) is tuple:  # a compound with variables
+                if type(a) is Struct:
+                    if a.functor != t[0] or len(a.args) != len(t[1]):
+                        return False
+                    todo.extend(zip(a.args, t[1]))
+                elif type(a) is Var:
+                    built = rename_apart_term(code[t[2] : t[3]], frame, self.fresh)[0]
+                    if _occurs(a.name, built, bindings):
+                        return False
+                    bindings[a.name] = built
+                    trail.append(a.name)
+                else:
+                    return False
+            elif a is not t:  # a constant or a ground compound
+                if type(a) is Var:
+                    bindings[a.name] = t
+                    trail.append(a.name)
+                elif type(t) is Const:
+                    if type(a) is not Const or a.value != t.value:
+                        return False
+                elif type(a) is not Struct:
+                    return False
+                elif a.ground:
+                    if a != t:
+                        return False
+                elif not unify_in_place(a, t, bindings, trail):
+                    return False
+        return True
 
     def _next_cell(self, cp: list) -> object:
         """Native member(X, L): unify X with the head of the next list cell.
@@ -412,8 +496,8 @@ class _Solver:
         clauses, at the same depth and with the same ancestors.
         """
         node, _, _, mark, _ = cp
-        lit, anc, depth, nxt = node
-        x = lit.atom.args[0]
+        atom, lit, anc, depth, nxt = node
+        x = atom.args[0]
         while True:
             undo_trail(self.bindings, self.trail, mark)
             rest = _walk(cp[1], self.bindings)
@@ -425,7 +509,7 @@ class _Solver:
                 return nxt
         cp[1] = EMPTY_LIST
         if type(rest) is Var:
-            return (Literal(Struct(_MEMBER.name, (x, rest))), anc, depth, nxt)
+            return (Struct(_MEMBER.name, (x, rest)), lit, anc, depth, nxt)
         return _FAILED
 
     def _seen_on_path(self, anc, pred: PredId, key: Tuple[int, tuple]) -> bool:
@@ -438,8 +522,7 @@ class _Solver:
 
     # -- deterministic goals ---------------------------------------------------
 
-    def _builtin(self, lit: Literal) -> bool:
-        atom = lit.atom
+    def _builtin(self, atom: Term) -> bool:
         assert isinstance(atom, Struct)
         lhs, rhs = atom.args
         if atom.functor == "=":
@@ -454,8 +537,8 @@ class _Solver:
         undo_trail(self.bindings, self.trail, mark)
         return not ok
 
-    def _naf(self, lit: Literal) -> bool:
-        atom = apply_subst(self.bindings, lit.atom)
+    def _naf(self, atom: Term) -> bool:
+        atom = apply_subst(self.bindings, atom)
         if term_vars(atom):
             raise FlounderError(
                 f"negated call not ground: not {format_term(atom)}"

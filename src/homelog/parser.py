@@ -9,7 +9,7 @@ rules with `:-`, comma conjunction, prefix `not`, the infix builtins
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
 from .program import BUILTIN_FUNCTORS, Clause, Literal, Program, pred_of
 from .terms import EMPTY_LIST, Const, Struct, Term, Var, make_list
@@ -100,6 +100,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.anon = 0  # counter for `_` occurrences
+        self.scope = 0  # position where the current clause or query starts
+        self.written: Optional[Set[str]] = None  # its variable names, once needed
 
     # -- token plumbing ----------------------------------------------------
 
@@ -132,8 +134,7 @@ class _Parser:
         if kind == _VAR:
             self.next()
             if val == "_":
-                self.anon += 1
-                return Var(f"_A{self.anon}")
+                return self.anonymous()
             return Var(val)
         if kind == _INT:
             self.next()
@@ -163,6 +164,29 @@ class _Parser:
         if kind == _PUNCT and val == "[":
             return self.parse_list()
         raise self.fail(f"got {self.describe()}", expected=("term",))
+
+    def anonymous(self) -> Var:
+        """A variable for `_`, named `_A<n>` but never as a variable the
+        clause or query writes, so the name survives printing and parsing."""
+        if self.written is None:
+            self.written = set()
+            i = self.scope
+            while True:
+                kind, val, _, _ = self.toks[i]
+                if kind == _EOF or (kind == _PUNCT and val == "."):
+                    break
+                if kind == _VAR:
+                    self.written.add(val)
+                i += 1
+        while True:
+            self.anon += 1
+            name = f"_A{self.anon}"
+            if name not in self.written:
+                return Var(name)
+
+    def begin_scope(self) -> None:
+        self.scope = self.pos
+        self.written = None
 
     def parse_list(self) -> Term:
         self.expect_punct("[")
@@ -239,6 +263,7 @@ class _Parser:
                 return tuple(lits)
 
     def parse_clause(self) -> Clause:
+        self.begin_scope()
         head = self.parse_term()
         self.check_callable(head)
         if self.is_builtin_follow() or pred_of(head).name in BUILTIN_FUNCTORS:
@@ -258,6 +283,7 @@ class _Parser:
         return Program(clauses)
 
     def parse_query(self) -> List[Literal]:
+        self.begin_scope()
         self.expect_punct("?-")
         if self.peek()[0] == _PUNCT and self.peek()[1] == ".":
             raise self.fail("empty goal", expected=("literal",))

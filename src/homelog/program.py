@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
-from .terms import Const, Struct, Term, Var, format_term
+from .terms import Const, Struct, Term, Var, compile_template, format_term
 
 __all__ = [
     "BUILTIN_FUNCTORS",
@@ -23,8 +23,10 @@ __all__ = [
 BUILTIN_FUNCTORS = ("=", "\\=")
 
 
-@dataclass(frozen=True, slots=True)
-class PredId:
+class PredId(NamedTuple):
+    """A predicate's name and arity; a tuple, so hashing and comparing it
+    cost no Python-level call."""
+
     name: str
     arity: int
 
@@ -47,48 +49,67 @@ class Literal:
 
     Negation only ever wraps a positive atom; the parser rejects `not not p`.
     The equality builtins are ordinary positive literals with functor = or \\=
-    and exactly two arguments.
+    and exactly two arguments.  The predicate and the builtin flag are
+    computed once, when the literal is built.
     """
 
     atom: Term
     negated: bool = False
+    pred: PredId = field(init=False, compare=False, repr=False)
+    is_builtin: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.atom, Var):
             raise ValueError("a variable is not a literal")
-        if self.is_builtin and self.negated:
+        pred = pred_of(self.atom)
+        builtin = pred.name in BUILTIN_FUNCTORS and pred.arity == 2
+        if builtin and self.negated:
             raise ValueError("builtins cannot appear under not")
-
-    @property
-    def is_builtin(self) -> bool:
-        return (
-            isinstance(self.atom, Struct)
-            and self.atom.functor in BUILTIN_FUNCTORS
-            and len(self.atom.args) == 2
-        )
-
-    @property
-    def pred(self) -> PredId:
-        return pred_of(self.atom)
+        object.__setattr__(self, "pred", pred)
+        object.__setattr__(self, "is_builtin", builtin)
 
 
 @dataclass(frozen=True, slots=True)
 class Clause:
-    """head :- body.  A fact is a clause with an empty body."""
+    """head :- body.  A fact is a clause with an empty body.
+
+    `code` is the clause compiled once, when it is built, for the solver:
+    (number of variable slots, the head's argument templates, the head's
+    postfix code, the body atoms' postfix code); see
+    `terms.compile_template`.  A fact with a ground head compiles to its
+    own arguments without a walk.
+    """
 
     head: Term
     body: Tuple[Literal, ...] = ()
     head_pred: PredId = field(init=False, compare=False, repr=False)
+    code: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         hp = pred_of(self.head)  # raises on non-atoms
         if hp.name in BUILTIN_FUNCTORS and hp.arity == 2:
             raise ValueError(f"cannot define builtin {hp}")
         object.__setattr__(self, "head_pred", hp)
+        object.__setattr__(self, "code", _compile_clause(self.head, self.body))
 
     @property
     def is_fact(self) -> bool:
         return not self.body
+
+
+def _compile_clause(head: Term, body: Tuple[Literal, ...]) -> tuple:
+    args = head.args if type(head) is Struct else ()
+    if not body and (not args or head.ground):
+        return (0, args, (), ())
+    slots: Dict[str, int] = {}
+    head_code: List[object] = []
+    template = compile_template(head, slots, head_code)
+    body_code: List[object] = []
+    for lit in body:
+        compile_template(lit.atom, slots, body_code)
+    if type(template) is tuple:  # a head with variables
+        args = template[1]
+    return (len(slots), args, tuple(head_code), tuple(body_code))
 
 
 class Program:

@@ -8,7 +8,7 @@ the "." functor and the empty-list constant, so [a, b] is '.'(a, '.'(b, [])).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "Var",
@@ -22,6 +22,7 @@ __all__ = [
     "term_vars",
     "apply_subst",
     "unify",
+    "compile_template",
     "rename_apart_term",
     "variant_of",
     "variant_key",
@@ -278,32 +279,67 @@ def unify(t1: Term, t2: Term, s: Optional[Subst] = None) -> Optional[Subst]:
     return None
 
 
-def rename_apart_term(t: Term, mapping: Dict[str, str], counter: Iterator[int]) -> Term:
-    """Copy `t` renaming variables via `mapping`, minting fresh names as needed.
+def compile_template(t: Term, slots: Dict[str, int], code: List[object]) -> object:
+    """Compile a clause term against the clause's variable slots.
 
-    Ground compounds are shared, not copied.
+    Variables become slot numbers, given in first-occurrence order and
+    shared through `slots` by every term of one clause.  The term's postfix
+    code is appended to `code` (see `rename_apart_term`).  The return value
+    is the term's template for head matching: a slot number, a constant or
+    ground compound shared as it is, or, for any other compound, a tuple
+    (functor, argument templates, lo, hi) whose own postfix code is
+    `code[lo:hi]`.  Built from an explicit stack.
     """
     todo: List[object] = [t]
-    done: List[Term] = []
+    done: List[object] = []
     while todo:
         cur = todo.pop()
         if type(cur) is tuple:
-            functor, n = cur
+            functor, n, lo = cur
+            args = tuple(done[-n:])
+            del done[-n:]
+            code.append((functor, n))
+            done.append((functor, args, lo, len(code)))
+        elif type(cur) is Var:
+            slot = slots.get(cur.name)
+            if slot is None:
+                slot = slots[cur.name] = len(slots)
+            code.append(slot)
+            done.append(slot)
+        elif type(cur) is Struct and not cur.ground:
+            todo.append((cur.functor, len(cur.args), len(code)))
+            todo.extend(reversed(cur.args))
+        else:
+            code.append(cur)
+            done.append(cur)
+    return done[0]
+
+
+def rename_apart_term(code: Sequence[object], frame: List[Optional[Term]], fresh: Iterator[int]) -> List[Term]:
+    """Instantiate postfix template code over a clause frame.
+
+    `code` lists a sequence of terms in postfix order: a slot number pushes
+    the frame's term for that slot, a (functor, n) pair builds a compound
+    from the last n terms, and anything else (a constant or a ground
+    compound) is pushed as it is, shared.  A slot with no term yet gets a
+    fresh variable, named `_#<n>` so that no program or query can write it.
+    Returns the built terms in order.
+    """
+    done: List[Term] = []
+    for op in code:
+        if type(op) is int:
+            t = frame[op]
+            if t is None:
+                t = frame[op] = Var(f"_#{next(fresh)}")
+            done.append(t)
+        elif type(op) is tuple:
+            functor, n = op
             args = tuple(done[-n:])
             del done[-n:]
             done.append(Struct(functor, args))
-        elif type(cur) is Var:
-            new = mapping.get(cur.name)
-            if new is None:
-                new = f"_G{next(counter)}"
-                mapping[cur.name] = new
-            done.append(Var(new))
-        elif type(cur) is Struct and not cur.ground:
-            todo.append((cur.functor, len(cur.args)))
-            todo.extend(reversed(cur.args))
         else:
-            done.append(cur)
-    return done[0]
+            done.append(op)
+    return done
 
 
 def variant_key(t: Term, bindings: Optional[Subst] = None) -> Tuple[int, tuple]:

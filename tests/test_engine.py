@@ -1,7 +1,7 @@
 """Solver behaviour: answers, negation, budgets, and oracle agreement."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_program
@@ -9,13 +9,28 @@ from homelog.engine import (
     BudgetExceeded,
     FlounderError,
     SolveConfig,
+    _cyclic_preds,
+    _program_index,
     solve,
     solve_all,
 )
 from homelog.fixpoint import fixpoint_answers
-from homelog.parser import parse_program, parse_query
+from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
+from homelog.planner import planning_kb
 from homelog.program import Clause, Literal, PredId, Program
-from homelog.terms import Const, Struct, Var, format_term, make_list
+from homelog.scenes import six_object_scene
+from homelog.terms import (
+    Const,
+    Struct,
+    Var,
+    apply_subst,
+    format_term,
+    make_list,
+    term_vars,
+    unify,
+    variant_of,
+)
+from homelog.world import random_scene, state_to_facts
 
 
 def answers_for(program, query_text, config=None):
@@ -76,6 +91,170 @@ def test_unbound_answer_uses_presentation_names():
     p = parse_program("pair(X, X).")
     answers = answers_for(p, "?- pair(A, B).")
     assert [str(a) for a in answers] == ["A = _A, B = _A"]
+
+
+def test_fresh_variables_cannot_alias_query_variables():
+    # Variables the solver makes up must not share a name with any the
+    # query or program can write, whatever that query writes.
+    p = parse_program("p(X, Y) :- X = f(Y).")
+    assert [str(a) for a in answers_for(p, "?- p(_G1, _G0).")] == ["_G1 = f(_A), _G0 = _A"]
+    assert [str(a) for a in answers_for(p, "?- p(A, B).")] == ["A = f(_A), B = _A"]
+    p = parse_program("q(X) :- r(X, Y), s(Y). r(a, Z). s(b).")
+    lines = []
+    assert [str(a) for a in answers_for(p, "?- q(_G0).", SolveConfig(trace=lines.append))] == ["_G0 = a"]
+    # The body-only Y shows up in the trace under a name no program can write.
+    prefix = "call r(_G0, "
+    line = lines[1].strip()
+    assert line.startswith(prefix) and line.endswith(")")
+    with pytest.raises(ParseError):
+        parse_term_text(line[len(prefix) : -1])
+
+
+# -- head matching ---------------------------------------------------------------
+
+
+def test_repeated_head_variable_must_match_itself():
+    p = parse_program("eq(X, X).")
+    assert answers_for(p, "?- eq(a, b).") == []
+    assert [str(a) for a in answers_for(p, "?- eq(a, a).")] == ["yes"]
+    assert [str(a) for a in answers_for(p, "?- eq(Y, b).")] == ["Y = b"]
+    # The second occurrence unifies under the occurs check.
+    assert answers_for(p, "?- eq(Y, f(Y)).") == []
+    assert answers_for(p, "?- eq(f(Y), Y).") == []
+
+
+def test_head_compound_is_built_over_an_earlier_slot():
+    p = parse_program("wrap(X, f(X)).")
+    assert [str(a) for a in answers_for(p, "?- wrap(a, Z).")] == ["Z = f(a)"]
+    assert [str(a) for a in answers_for(p, "?- wrap(W, Z).")] == ["W = _A, Z = f(_A)"]
+    assert [str(a) for a in answers_for(p, "?- wrap(W, f(b)).")] == ["W = b"]
+    assert answers_for(p, "?- wrap(a, g(a)).") == []
+    # Built, then bound after the occurs check.
+    assert answers_for(p, "?- wrap(Y, Y).") == []
+    # A later slot that the built compound holds is fresh, then bound.
+    p = parse_program("pre(f(X), X).")
+    assert [str(a) for a in answers_for(p, "?- pre(Z, a).")] == ["Z = f(a)"]
+    assert answers_for(p, "?- pre(Z, Z).") == []
+
+
+def test_zero_ary_predicates():
+    p = parse_program("rain. wet :- rain. dry :- not wet. sunny :- dry.")
+    assert [str(a) for a in answers_for(p, "?- wet.")] == ["yes"]
+    assert answers_for(p, "?- dry.") == []
+    assert answers_for(p, "?- sunny.") == []
+    assert answers_for(p, "?- snow.") == []
+
+
+def test_body_only_variable_is_fresh_on_every_try():
+    p = parse_program("one(X) :- X = g(W). two(P) :- one(A), one(B), P = pair(A, B).")
+    assert [str(a) for a in answers_for(p, "?- two(P).")] == ["P = pair(g(_A), g(_B))"]
+    # Each try of a recursive clause gets its own.
+    p = parse_program("fresh([]). fresh([V|T]) :- fresh(T), V = v(W).")
+    assert [str(a) for a in answers_for(p, "?- fresh([A, B]).")] == ["A = v(_A), B = v(_B)"]
+
+
+def test_negated_literal_over_a_body_only_variable_flounders():
+    p = parse_program("q(a). p(X) :- r(X), not q(Y). r(b).")
+    with pytest.raises(FlounderError):
+        answers_for(p, "?- p(b).")
+
+
+_match_terms = st.recursive(
+    st.one_of(
+        st.sampled_from(["a", "b"]).map(Const),
+        st.integers(min_value=0, max_value=1).map(Const),
+        st.sampled_from(["X", "Y", "Z"]).map(Var),
+    ),
+    lambda kids: st.builds(
+        Struct, st.sampled_from(["f", "g"]), st.lists(kids, min_size=1, max_size=2).map(tuple)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(
+            st.lists(_match_terms, min_size=n, max_size=n).map(tuple),
+            st.lists(_match_terms, min_size=n, max_size=n).map(tuple),
+        )
+    )
+)
+@example(((Var("X"), Var("X")), (Var("Y"), Struct("f", (Var("Y"),)))))
+@example(((Var("X"), Struct("f", (Var("X"),))), (Var("Y"), Var("Y"))))
+@example(((Struct("f", (Var("X"),)), Var("X")), (Var("Z"), Var("Z"))))
+def test_head_matching_agrees_with_copy_then_unify(args):
+    head_args, call_args = args
+    # The reference: copy the head apart by hand, then unify.
+    names = term_vars(Struct("h", head_args))
+    copy = apply_subst({n: Var(n + "_copy") for n in names}, Struct("h", head_args))
+    call = Struct("h", call_args)
+    mgu = unify(call, copy)
+    answers, status = solve_all(Program([Clause(Struct("h", head_args))]), [Literal(call)])
+    assert status == "exhausted"
+    if mgu is None:
+        assert answers == []
+    else:
+        [answer] = answers
+        assert variant_of(apply_subst(answer.bindings, call), apply_subst(mgu, call))
+
+
+# -- the loop check's predicates -------------------------------------------------
+
+
+def test_cyclic_predicates_of_the_planning_program():
+    program = planning_kb() + state_to_facts(six_object_scene())
+    want = {
+        PredId("fits_in", 2),
+        PredId("member", 2),
+        PredId("missing_goals", 3),
+        PredId("needed_steps", 3),
+        PredId("remove_fluent", 3),
+        PredId("subset", 2),
+        PredId("transform", 4),
+        PredId("update_walking", 3),
+    }
+    assert _program_index(program).cyclic == want
+    assert _program_index(planning_kb() + state_to_facts(random_scene(7, 100))).cyclic == want
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("nat(z). nat(s(X)) :- nat(X). top :- nat(z).", {"nat"}),
+        ("even(z). even(s(X)) :- odd(X). odd(s(X)) :- even(X). top(X) :- even(X).", {"even", "odd"}),
+        ("a :- b. b :- c. c :- b. c :- d. d.", {"b", "c"}),
+        ("p :- not q. q :- p.", {"p", "q"}),
+        ("a :- b, c. b :- c. c. d(X) :- X = d(X).", set()),
+    ],
+)
+def test_cyclic_predicates_of_small_programs(text, names):
+    program = parse_program(text)
+    assert {p.name for p in _cyclic_preds(program.index)} == names
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.lists(st.integers(0, 7), max_size=3)), max_size=10))
+def test_cyclic_predicates_are_those_that_reach_themselves(rules):
+    # p0..p5 may have rules; p6 and p7 are facts or undefined.
+    clauses = [Clause(Const(f"p{h}"), tuple(Literal(Const(f"p{b}")) for b in body)) for h, body in rules]
+    clauses.append(Clause(Const("p6")))
+    program = Program(clauses)
+    calls = {}
+    for c in clauses:
+        calls.setdefault(c.head.value, set()).update(lit.atom.value for lit in c.body)
+    want = set()
+    for start in calls:
+        seen, todo = set(), list(calls[start])
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo.extend(calls.get(p, ()))
+        if start in seen:
+            want.add(start)
+    assert {p.name for p in _cyclic_preds(program.index)} == want
 
 
 def test_empty_goal_list_rejected(family_program):

@@ -1,13 +1,16 @@
 """Surface syntax: programs, queries, errors, and round trips."""
 
+import itertools
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_TEXTS
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
 from homelog.program import Clause, Literal, PredId, format_clause, format_program, pred_of
-from homelog.terms import Const, Struct, Var, format_term, make_list
+from homelog.engine import solve_all
+from homelog.terms import Const, Struct, Var, format_term, make_list, term_vars, variant_of
 
 
 def test_single_fact():
@@ -110,6 +113,21 @@ def test_anonymous_variables_are_distinct():
     assert isinstance(a, Var) and isinstance(b, Var) and a.name != b.name
 
 
+def test_anonymous_variables_never_alias_written_ones():
+    p = parse_program("pair(_, _A1).\nsame(_A2, _A2, _).\n")
+    [a, b] = p.clauses[0].head.args
+    assert a != b
+    assert len(set(term_vars(p.clauses[1].head))) == 2
+    answers, status = solve_all(p, parse_query("?- pair(a, b)."))
+    assert [str(x) for x in answers] == ["yes"] and status == "exhausted"
+    answers, _ = solve_all(p, parse_query("?- same(a, a, b)."))
+    assert [str(x) for x in answers] == ["yes"]
+    # The same holds in a query, and the clause still prints and re-parses.
+    [goal] = parse_query("?- pair(_A1, _).")
+    assert len(set(term_vars(goal.atom))) == 2
+    assert format_program(parse_program(format_program(p))) == format_program(p)
+
+
 def test_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse_program("foo(a)\nbar(b).")
@@ -171,11 +189,11 @@ _atoms = st.sampled_from(["a", "foo", "walk", "close_to_character"])
 _vars = st.sampled_from(["X", "Y", "State", "_G1"])
 
 
-def _rt_terms():
+def _rt_terms(variables=_vars):
     base = st.one_of(
         _atoms.map(Const),
         st.integers(min_value=0, max_value=99).map(Const),
-        _vars.map(Var),
+        variables.map(Var),
     )
     return st.recursive(
         base,
@@ -197,9 +215,26 @@ def test_round_trip_terms(t):
     assert parse_term_text(format_term(t)) == t
 
 
+def _each_anonymous_apart(t, fresh):
+    """`t` with each occurrence of Var("_") replaced by a variable of its own."""
+    if type(t) is Var and t.name == "_":
+        return Var(f"Anon{next(fresh)}")
+    if type(t) is Struct:
+        return Struct(t.functor, tuple(_each_anonymous_apart(a, fresh) for a in t.args))
+    return t
+
+
 @settings(max_examples=100)
-@given(st.lists(_rt_terms(), min_size=1, max_size=3))
+@given(st.lists(_rt_terms(st.sampled_from(["X", "Y", "State", "_G1", "_A1", "_A2", "_"])), min_size=1, max_size=3))
+@example([Var("_"), Var("_A1")])
 def test_round_trip_clauses(args):
+    # Var("_") prints as `_`, which the parser reads as a variable of its
+    # own at each occurrence; the clause it means has those variables.
     clause = Clause(Struct("head", tuple(args)))
     text = format_clause(clause)
-    assert format_clause(parse_program(text).clauses[0]) == text
+    parsed = parse_program(text).clauses[0]
+    if "_" not in term_vars(clause.head):
+        assert format_clause(parsed) == text
+    meant = _each_anonymous_apart(clause.head, itertools.count())
+    assert variant_of(parsed.head, meant)
+    assert format_clause(parse_program(format_clause(parsed)).clauses[0]) == format_clause(parsed)

@@ -12,6 +12,7 @@ from homelog.terms import (
     Struct,
     Var,
     apply_subst,
+    compile_template,
     format_term,
     list_parts,
     make_list,
@@ -23,6 +24,17 @@ from homelog.terms import (
 )
 
 # -- strategies -------------------------------------------------------------------
+
+
+def _renamed(t, fresh):
+    """Rename `t` apart the way the solver builds a clause body: compile it,
+    then instantiate it over an empty frame."""
+    slots = {}
+    code = []
+    compile_template(t, slots, code)
+    [out] = rename_apart_term(code, [None] * len(slots), fresh)
+    return out
+
 
 _atoms = st.sampled_from(["a", "b", "f", "i1", "walk", "close", "remotecontrol1"])
 _varnames = st.sampled_from(["X", "Y", "Z", "State"])
@@ -170,7 +182,7 @@ def test_unify_produces_a_unifier(t1, t2):
 @settings(max_examples=150)
 @given(_terms())
 def test_apply_subst_idempotent_after_unify(t):
-    s = unify(t, rename_apart_term(t, {}, itertools.count(500)))
+    s = unify(t, _renamed(t, itertools.count(500)))
     assert s is not None
     once = apply_subst(s, t)
     assert apply_subst(s, once) == once
@@ -212,17 +224,58 @@ def test_mgu_generality_against_brute_force():
 def test_rename_apart_fresh_and_structure_preserving():
     counter = itertools.count()
     t = Struct("sibling", (Var("X"), Struct("f", (Var("X"), Var("Y")))))
-    mapping = {}
-    r = rename_apart_term(t, mapping, counter)
+    r = _renamed(t, counter)
     assert variant_of(t, r)
     assert set(term_vars(r)).isdisjoint({"X", "Y"})
-    r2 = rename_apart_term(t, {}, counter)
+    r2 = _renamed(t, counter)
     assert set(term_vars(r)).isdisjoint(set(term_vars(r2)))
 
 
 def test_rename_ground_term_identity():
     t = Struct("parent", (Const("tony"), Const("abe")))
-    assert rename_apart_term(t, {}, itertools.count()) == t
+    assert _renamed(t, itertools.count()) is t
+
+
+def test_fresh_variables_cannot_be_written():
+    # A program or query can write any name the tokenizer reads as a
+    # variable; a fresh one must differ from all of them.
+    from homelog.parser import ParseError, parse_term_text
+
+    [fresh] = term_vars(_renamed(Var("X"), itertools.count(7)))
+    with pytest.raises(ParseError):
+        parse_term_text(fresh)
+
+
+def test_compiled_slots_follow_first_occurrence_and_ground_parts_are_shared():
+    ground = Struct("g", (Const("a"), make_list([Const(1), Const(2)])))
+    t = Struct("p", (Var("Y"), Struct("f", (Var("X"), ground, Var("Y"))), Var("X")))
+    slots = {}
+    code = []
+    template = compile_template(t, slots, code)
+    assert slots == {"Y": 0, "X": 1}
+    functor, args, lo, hi = template
+    assert (functor, lo, hi) == ("p", 0, len(code))
+    y, inner, x = args
+    assert (y, x) == (0, 1)
+    assert inner[0] == "f" and inner[1][1] is ground
+    # Each compound's postfix code is its own span of the term's code.
+    assert code[inner[2] : inner[3]] == [1, ground, 0, ("f", 3)]
+    frame = [Const("b"), None]
+    [built] = rename_apart_term(code[inner[2] : inner[3]], frame, itertools.count())
+    assert type(frame[1]) is Var
+    assert built == Struct("f", (frame[1], ground, Const("b")))
+    assert built.args[1] is ground
+
+
+def test_slots_are_shared_across_the_terms_of_one_clause():
+    slots = {}
+    code = []
+    compile_template(Struct("p", (Var("X"),)), slots, code)
+    compile_template(Struct("q", (Var("Z"), Var("X"))), slots, code)
+    frame = [Const("a"), None]
+    p, q = rename_apart_term(code, frame, itertools.count())
+    assert p == Struct("p", (Const("a"),))
+    assert q.args[1] == Const("a") and q.args[0] is frame[1]
 
 
 # -- variants ---------------------------------------------------------------------
@@ -259,7 +312,7 @@ def test_variant_reflexive(t):
 @settings(max_examples=100)
 @given(_terms())
 def test_variant_symmetric_under_renaming(t):
-    r = rename_apart_term(t, {}, itertools.count(900))
+    r = _renamed(t, itertools.count(900))
     assert variant_of(t, r) and variant_of(r, t)
     assert variant_key(t) == variant_key(r)
 
@@ -309,7 +362,7 @@ def test_walks_over_a_long_list_do_not_recurse():
     chain[f"L{n}"] = EMPTY_LIST
     assert apply_subst(chain, Var("L0")) == ground
 
-    renamed = rename_apart_term(open_list, {}, itertools.count())
+    renamed = _renamed(open_list, itertools.count())
     assert variant_of(open_list, renamed) and not variant_of(open_list, ground)
     assert variant_key(open_list) == variant_key(renamed)
     assert variant_key(open_list) != variant_key(ground)
