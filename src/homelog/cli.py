@@ -1,4 +1,4 @@
-"""Command-line interface: parse, solve, prune, graph, plan, bench.
+"""Command-line interface: parse, solve, prune, graph, plan.
 
 Exit codes: 0 success, 1 no answer / no plan, 2 usage error, 3 timeout
 or budget exhausted, 4 parse or scene-schema error, 5 internal error.
@@ -10,7 +10,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .bench import format_csv, format_markdown, run_bench
 from .engine import BudgetExceeded, FlounderError, SolveConfig, SolveTimeout, solve
 from .parser import ParseError, parse_program, parse_query
 from .planner import (
@@ -123,7 +122,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     scene = _load_scene_arg(args.scene)
     task = TASK_CATALOG[args.task]
     options = PlanOptions(
-        prune=not args.no_prune,
         max_plan_len=args.max_len,
         config=SolveConfig(wall_timeout=args.timeout),
     )
@@ -148,27 +146,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     for action in actions:
         print(action)
     print("GOAL SATISFIED")
-    return EXIT_OK
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scene = _load_scene_arg(args.scene)
-    if args.tasks == "all":
-        names = list(TASK_CATALOG)
-    else:
-        names = [n.strip() for n in args.tasks.split(",") if n.strip()]
-        unknown = [n for n in names if n not in TASK_CATALOG]
-        if unknown:
-            print(f"unknown tasks: {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-    report = run_bench(
-        scene,
-        [TASK_CATALOG[n] for n in names],
-        timeout=args.timeout,
-        repeats=args.repeats,
-    )
-    formatter = format_csv if args.format == "csv" else format_markdown
-    print(formatter(report), end="")
     return EXIT_OK
 
 
@@ -209,18 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan a task in a scene and print the actions")
     p.add_argument("--scene", required=True, help="scene file or random:SEED:N")
     p.add_argument("--task", required=True, choices=sorted(TASK_CATALOG))
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--max-len", type=int, default=8)
     p.add_argument("--timeout", type=float, default=None)
     p.set_defaults(func=_cmd_plan)
-
-    p = sub.add_parser("bench", help="compare pruned vs unpruned planning times")
-    p.add_argument("--scene", required=True, help="scene file or random:SEED:N")
-    p.add_argument("--tasks", default="all", help="comma-separated names or 'all'")
-    p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

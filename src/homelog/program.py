@@ -147,9 +147,6 @@ class Program:
     def defines(self, pred: PredId) -> bool:
         return pred in self.index
 
-    def fact_count(self) -> int:
-        return sum(1 for c in self.clauses if c.is_fact)
-
 
 def format_literal(lit: Literal) -> str:
     if lit.is_builtin:

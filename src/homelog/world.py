@@ -60,7 +60,6 @@ class IllegalAction(Exception):
 
 
 AGENT_ID = "character0"
-AGENT_TYPE = "character"
 
 ROOM_TYPES: Tuple[str, ...] = ("livingroom", "kitchen", "bedroom", "bathroom", "office")
 
@@ -299,20 +298,17 @@ def fluent_list(state: WorldState) -> List[Term]:
 def state_to_facts(state: WorldState) -> Program:
     """The state as facts: object typing and placement, device state,
     object properties, and one close_to_character/1 fact holding the
-    canonical fluent list."""
+    canonical fluent list.  Rooms and the agent get no facts of their
+    own: no plan reads them."""
     clauses: List[Clause] = []
 
     def fact(name: str, *args: Term) -> None:
         clauses.append(Clause(Struct(name, args)))
 
-    for room_id in sorted(state.rooms):
-        fact("type", Const(room_id), Const(state.rooms[room_id]))
     for obj_id in sorted(state.objects):
         fact("type", Const(obj_id), Const(state.objects[obj_id].type))
-    fact("type", Const(AGENT_ID), Const(AGENT_TYPE))
     for obj_id in sorted(state.objects):
         fact("inside", Const(obj_id), Const(state.objects[obj_id].room))
-    fact("inside", Const(AGENT_ID), Const(state.agent.room))
     for obj_id in sorted(state.objects):
         obj = state.objects[obj_id]
         if obj.switchable:

@@ -1,5 +1,8 @@
 """End-to-end CLI behaviour through cli_main, including exit codes."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from conftest import FAMILY_TEXT
@@ -16,6 +19,8 @@ from homelog.cli import (
 from homelog.parser import parse_program
 from homelog.program import PredId
 from homelog.scenes import SIX_OBJECT_SCENE_JSON
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -193,36 +198,9 @@ def test_plan_schema_error(tmp_path, capsys):
     assert "scene error" in capsys.readouterr().err
 
 
-# -- bench -----------------------------------------------------------------------------
-
-
-def test_bench_markdown(scene_file, capsys):
-    code = cli_main([
-        "bench", "--scene", scene_file, "--tasks", "walk_to_remote,grab_remote",
-        "--timeout", "30", "--repeats", "1",
-    ])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert "| task | objects |" in out
-    assert "| walk_to_remote | 6 |" in out
-    assert "| grab_remote | 6 |" in out
-
-
-def test_bench_csv(scene_file, capsys):
-    code = cli_main([
-        "bench", "--scene", scene_file, "--tasks", "grab_remote",
-        "--timeout", "30", "--repeats", "1", "--format", "csv",
-    ])
-    assert code == EXIT_OK
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("task,objects,unpruned (s),pruned (s)")
-    assert out.splitlines()[1].startswith("grab_remote,6,")
-
-
-def test_bench_unknown_tasks(scene_file, capsys):
-    code = cli_main(["bench", "--scene", scene_file, "--tasks", "grab_remote,levitate"])
-    assert code == EXIT_USAGE
-    assert "unknown tasks: levitate" in capsys.readouterr().err
+def test_plan_has_no_prune_switch(capsys):
+    argv = ["plan", "--scene", "random:7:6", "--task", "grab_remote", "--no-prune"]
+    assert cli_main(argv) == EXIT_USAGE
 
 
 # -- top level -----------------------------------------------------------------------
@@ -235,6 +213,32 @@ def test_help_exits_cleanly(capsys):
 
 def test_no_arguments_is_a_usage_error(capsys):
     assert cli_main([]) == EXIT_USAGE
+
+
+def test_bench_is_not_a_subcommand(capsys):
+    assert cli_main(["bench", "--scene", "random:7:6"]) == EXIT_USAGE
+
+
+def readme_cli_lines():
+    """Every `homelog ...` line in README's fenced sh blocks."""
+    lines, in_sh = [], False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("homelog "):
+            lines.append(line)
+    return lines
+
+
+def test_readme_cli_examples_parse():
+    lines = readme_cli_lines()
+    assert lines
+    parser = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

@@ -231,10 +231,13 @@ def test_plans_on_the_six_object_scene_are_valid_and_shortest(six_scene, task_na
 
 
 @pytest.mark.parametrize("task_name", sorted(TASK_CATALOG))
-def test_prune_transparency(six_scene, task_name):
+def test_prune_transparency(monkeypatch, six_scene, task_name):
+    """Planning over the whole knowledge base, not its slice, finds the
+    same plan."""
     task = TASK_CATALOG[task_name]
-    with_prune = plan(six_scene, task, PlanOptions(prune=True))
-    without = plan(six_scene, task, PlanOptions(prune=False))
+    with_prune = plan(six_scene, task)
+    monkeypatch.setattr(planner, "planning_kb", domain_kb)
+    without = plan(six_scene, task)
     assert with_prune == without
 
 
@@ -321,7 +324,6 @@ def test_complete_task_rules_drive_the_same_search():
 def test_plan_options_validate():
     with pytest.raises(ValueError):
         PlanOptions(max_plan_len=0)
-    assert PlanOptions().prune is True
     assert PlanOptions().max_plan_len == 8
 
 

@@ -18,7 +18,7 @@ from homelog.relevance import (
     to_dot,
 )
 from homelog.terms import Struct, Var, format_term, make_list
-from homelog.world import AGENT_ID, load_scene, state_to_facts
+from homelog.world import load_scene, state_to_facts
 
 ALWAYS_KEPT = set(BUILTIN_PREDS) | set(PRELUDE_PREDS)
 
@@ -189,9 +189,8 @@ def test_an_answer_preserving_slice_keeps_every_object_fact():
     slicing keeps all scene facts.  A finer slice that keeps every answer
     could drop single facts only where no answer needs them.  Here every
     plan of up to three actions for walking to the remote is enumerated
-    with each scene fact left out in turn: only the room's type and the
-    agent's own two facts can go, and every fact about an object is used
-    by some plan.
+    with each scene fact left out in turn: no fact can go, so every fact
+    the scene emits is used by some plan.
     """
     scene = load_scene(json.dumps(SMALL_SCENE))
     goal_list = make_list(encode_goal_fluents(TASK_CATALOG["walk_to_remote"], scene))
@@ -212,11 +211,7 @@ def test_an_answer_preserving_slice_keeps_every_object_fact():
         for fact in facts
         if plans(Program(c for c in facts if c is not fact)) == all_plans
     ]
-    assert droppable == [
-        "type(livingroom1, livingroom)",
-        f"type({AGENT_ID}, character)",
-        f"inside({AGENT_ID}, livingroom1)",
-    ]
+    assert droppable == []
 
 
 @pytest.mark.parametrize("seed", range(15))
