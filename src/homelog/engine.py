@@ -8,8 +8,9 @@ with the clause's compiled head over a fresh frame of its variables, and
 the body is built from that frame only once the head matches.  A positive call that is a variant of an ancestor call on the
 current derivation path fails (loop check), which makes the kind of left
 recursion found in family-tree rule sets terminate.  Negation as failure
-runs the positive atom in a sub-derivation on a slice of the remaining
-step budget; non-ground negated calls flounder loudly.
+runs the positive atom one level deeper on the same stacks, behind a
+barrier choice point, under the solve's one step budget and depth cap;
+non-ground negated calls flounder loudly.
 
 Unless the program defines them, `insert_sorted/3` is native and
 `member/2` walks a list's cells in one choice point: one step per cell,
@@ -86,7 +87,7 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Answer:
-    """Bindings for the query's variables, in first-occurrence order.
+    """Bindings for the variables the query writes, in first-occurrence order.
 
     Every value is either ground or contains only presentation variables
     (_A, _B, ...); solver-internal names never leak.
@@ -119,32 +120,6 @@ PRELUDE_PREDS: Tuple[PredId, ...] = (
     PredId("subset", 2),
     _INSERT_SORTED,
 )
-
-
-class _Budget:
-    """Shared step counter with a stack of limits for naf slices."""
-
-    __slots__ = ("used", "limits", "deadline")
-
-    def __init__(self, limit: int, deadline: Optional[float]):
-        self.used = 0
-        self.limits = [limit]
-        self.deadline = deadline
-
-    def step(self) -> None:
-        self.used += 1
-        if self.used > self.limits[-1]:
-            raise BudgetExceeded(f"step budget exhausted after {self.used} steps")
-        if self.deadline is not None and self.used & 0xFF == 0:
-            if time.monotonic() > self.deadline:
-                raise SolveTimeout("wall-clock limit reached")
-
-    def push_half(self) -> None:
-        remaining = self.limits[-1] - self.used
-        self.limits.append(self.used + max(1, remaining // 2))
-
-    def pop(self) -> None:
-        self.limits.pop()
 
 
 def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
@@ -278,26 +253,19 @@ _FAILED = object()
 
 
 class _Solver:
-    def __init__(
-        self,
-        program: Program,
-        goals: Sequence[Literal],
-        config: SolveConfig,
-        budget: Optional[_Budget] = None,
-        fresh: Optional[Iterator[int]] = None,
-    ):
+    def __init__(self, program: Program, goals: Sequence[Literal], config: SolveConfig):
         if not goals:
             raise ValueError("empty goal list")
-        self.program = program
         self.config = config
         self.goals = list(goals)
-        deadline = (
+        self.steps = 0
+        self.step_limit = config.step_budget
+        self.deadline = (
             time.monotonic() + config.wall_timeout
             if config.wall_timeout is not None
             else None
         )
-        self.budget = budget if budget is not None else _Budget(config.step_budget, deadline)
-        self.fresh = fresh if fresh is not None else itertools.count()
+        self.fresh = itertools.count()
         self.bindings: Subst = {}
         self.trail: List[str] = []
         self.index = _program_index(program)
@@ -305,8 +273,17 @@ class _Solver:
         for lit in goals:
             for name in term_vars(lit.atom):
                 seen.setdefault(name)
-        self.query_vars: Tuple[str, ...] = tuple(seen)
+        # A query's `_` is named `_#A<n>` (see the parser) and is no answer.
+        self.query_vars: Tuple[str, ...] = tuple(n for n in seen if not n.startswith("_#"))
         self.seen_answers: Set[Tuple[str, ...]] = set()
+
+    def _step(self) -> None:
+        self.steps += 1
+        if self.steps > self.step_limit:
+            raise BudgetExceeded(f"step budget exhausted after {self.steps} steps")
+        if self.deadline is not None and self.steps & 0xFF == 0:
+            if time.monotonic() > self.deadline:
+                raise SolveTimeout("wall-clock limit reached")
 
     # -- derivation machinery ------------------------------------------------
 
@@ -314,7 +291,9 @@ class _Solver:
         # Goal stack nodes are (atom, literal, ancestors, depth, next): the
         # atom to solve and the literal it was built from, which carries its
         # predicate and flags.  Ancestors is a linked list of (pred,
-        # variant-key, parent) frames.
+        # variant-key, parent) frames.  A negation's proof marker is a node
+        # whose literal is the negated one and whose atom is the index of
+        # the negation's barrier in the choice-point stack.
         cur = None
         for lit in reversed(self.goals):
             cur = (lit.atom, lit, None, 0, cur)
@@ -332,15 +311,29 @@ class _Solver:
             atom, lit, anc, depth, nxt = cur
             ok: object
             if lit.negated:
-                self.budget.step()
-                ok = nxt if self._naf(atom) else _FAILED
+                if type(atom) is int:
+                    # The marker is reached: the negated atom has a proof.
+                    undo_trail(self.bindings, self.trail, cps[atom][3])
+                    del cps[atom:]
+                    ok = _FAILED
+                else:
+                    self._step()
+                    atom = apply_subst(self.bindings, atom)
+                    if term_vars(atom):
+                        raise FlounderError(f"negated call not ground: not {format_term(atom)}")
+                    # Prove the atom as a positive goal with no ancestors,
+                    # behind a barrier that is resumed once its search is
+                    # exhausted (see _resume) and a marker that cuts it.
+                    marker = (len(cps), lit, None, depth, None)
+                    cps.append([cur, None, 0, len(self.trail), None])
+                    ok = (atom, Literal(atom), None, depth + 1, marker)
             elif lit.is_builtin:
-                self.budget.step()
+                self._step()
                 ok = nxt if self._builtin(atom) else _FAILED
             else:
                 pred = lit.pred
                 if self.index.native_insert and pred == _INSERT_SORTED:
-                    self.budget.step()
+                    self._step()
                     ok = nxt if self._insert_sorted(atom) else _FAILED
                 else:
                     if depth >= cfg.max_depth:
@@ -374,7 +367,8 @@ class _Solver:
 
         A choice point is [node, alternatives, position, trail mark, key].
         The alternatives are the call's candidate clauses, or, for a native
-        member/2 walk, the rest of the list.
+        member/2 walk, the rest of the list.  A negation's barrier has None
+        there, and its node is the negated literal's.
         """
         atom, _, anc, depth, _ = node
         idx = self.index
@@ -388,7 +382,7 @@ class _Solver:
         if cell is None and cfg.loop_check and pred in idx.cyclic:
             key = variant_key(atom, self.bindings)
             if self._seen_on_path(anc, pred, key):
-                self.budget.step()
+                self._step()
                 return None
         if cfg.trace is not None:
             cfg.trace("  " * depth + "call " + format_term(apply_subst(self.bindings, atom)))
@@ -409,13 +403,21 @@ class _Solver:
         """
         node, clauses, _, mark, key = cp
         if type(clauses) is not tuple:
-            return self._next_cell(cp)
+            if clauses is not None:
+                return self._next_cell(cp)
+            # A barrier is resumed once the negated atom's search is
+            # exhausted: the negation holds, once.
+            undo_trail(self.bindings, self.trail, mark)
+            if cp[2]:
+                return _FAILED
+            cp[2] = 1
+            return node[4]
         atom, lit, anc, depth, nxt = node
         while cp[2] < len(clauses):
             clause = clauses[cp[2]]
             cp[2] += 1
             undo_trail(self.bindings, self.trail, mark)
-            self.budget.step()
+            self._step()
             slots, head_args, head_code, body_code = clause.code
             frame: List[Optional[Term]] = [None] * slots
             if head_args and not self._unify_head(atom.args, head_args, head_code, frame):
@@ -503,7 +505,7 @@ class _Solver:
             rest = _walk(cp[1], self.bindings)
             if not _is_cell(rest):
                 break
-            self.budget.step()
+            self._step()
             head, cp[1] = rest.args
             if unify_in_place(x, head, self.bindings, self.trail):
                 return nxt
@@ -537,27 +539,6 @@ class _Solver:
         undo_trail(self.bindings, self.trail, mark)
         return not ok
 
-    def _naf(self, atom: Term) -> bool:
-        atom = apply_subst(self.bindings, atom)
-        if term_vars(atom):
-            raise FlounderError(
-                f"negated call not ground: not {format_term(atom)}"
-            )
-        self.budget.push_half()
-        try:
-            sub = _Solver(
-                self.program,
-                [Literal(atom)],
-                self.config,
-                budget=self.budget,
-                fresh=self.fresh,
-            )
-            for _ in sub.run():
-                return False
-            return True
-        finally:
-            self.budget.pop()
-
     def _insert_sorted(self, atom: Term) -> bool:
         assert isinstance(atom, Struct)
         item = apply_subst(self.bindings, atom.args[0])
@@ -583,7 +564,7 @@ class _Solver:
         free: Dict[str, Term] = {}
         values: Dict[str, Term] = {}
         for name in self.query_vars:
-            values[name] = self._present(apply_subst(self.bindings, Var(name)), free)
+            values[name] = self._present(Var(name), free)
         key = tuple(format_term(values[n]) for n in self.query_vars)
         if key in self.seen_answers:
             return None
@@ -591,12 +572,12 @@ class _Solver:
         return Answer(values, self.query_vars)
 
     def _present(self, t: Term, free: Dict[str, Term]) -> Term:
-        """Rename a resolved term's variables to _A, _B, ... in first-occurrence
-        order, recording them in `free`; rebuilt from an explicit stack."""
+        """Resolve a term, renaming its free variables to _A, _B, ... in order of
+        first occurrence, recorded in `free`; rebuilt from an explicit stack."""
         todo: List[object] = [t]
         done: List[Term] = []
         while todo:
-            cur = todo.pop()
+            cur = _walk(todo.pop(), self.bindings)
             if type(cur) is tuple:
                 functor, n = cur
                 args = tuple(done[-n:])

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the logic-program surface syntax.
+"""Top-down parser for the logic-program surface syntax.
 
 The accepted subset: lowercase atoms, uppercase/underscore variables,
 integers, compound terms, bracket list sugar ([a, b], [H|T]), facts and
@@ -100,6 +100,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.anon = 0  # counter for `_` occurrences
+        self.anon_prefix = "_A"  # "_#A" in a query
         self.scope = 0  # position where the current clause or query starts
         self.written: Optional[Set[str]] = None  # its variable names, once needed
 
@@ -130,6 +131,55 @@ class _Parser:
     # -- grammar -----------------------------------------------------------
 
     def parse_term(self) -> Term:
+        """Parse one term.  The compounds and lists still open wait on an
+        explicit stack of [kind, functor, items] frames, kind "(" for a
+        compound's arguments, "[" for a list's items and "|" for its tail,
+        so nesting depth does not deepen the Python stack."""
+        stack: List[list] = []
+        while True:
+            t = self.parse_opening(stack)
+            while t is not None:
+                if not stack:
+                    return t
+                frame = stack[-1]
+                kind, functor, items = frame
+                if kind == "|":
+                    self.expect_punct("]")
+                    stack.pop()
+                    t = make_list(items, t)
+                    continue
+                items.append(t)
+                k, v, _, _ = self.peek()
+                if k == _PUNCT and v == ",":
+                    self.next()
+                    t = None
+                elif kind == "(" and k == _PUNCT and v == ")":
+                    self.next()
+                    stack.pop()
+                    t = Struct(functor, tuple(items))
+                elif kind == "(":
+                    raise self.fail(
+                        f"unterminated argument list, got {self.describe()}",
+                        expected=("','", "')'"),
+                    )
+                elif k == _PUNCT and v == "|":
+                    self.next()
+                    frame[0] = "|"
+                    t = None
+                elif k == _PUNCT and v == "]":
+                    self.next()
+                    stack.pop()
+                    t = make_list(items)
+                else:
+                    raise self.fail(
+                        f"unterminated list, got {self.describe()}",
+                        expected=("','", "'|'", "']'"),
+                    )
+
+    def parse_opening(self, stack: List[list]) -> Optional[Term]:
+        """Read a term's first tokens.  Return the term if that completes
+        it; for a compound or a non-empty list, push its frame and return
+        None."""
         kind, val, _, _ = self.peek()
         if kind == _VAR:
             self.next()
@@ -146,28 +196,26 @@ class _Parser:
                 self.next()
                 if self.peek()[0] == _EOF:
                     raise self.fail("unterminated argument list", expected=("term",))
-                args = [self.parse_term()]
-                while True:
-                    k, v, _, _ = self.peek()
-                    if k == _PUNCT and v == ",":
-                        self.next()
-                        args.append(self.parse_term())
-                    elif k == _PUNCT and v == ")":
-                        self.next()
-                        return Struct(val, tuple(args))
-                    else:
-                        raise self.fail(
-                            f"unterminated argument list, got {self.describe()}",
-                            expected=("','", "')'"),
-                        )
+                stack.append(["(", val, []])
+                return None
             return Const(val)
         if kind == _PUNCT and val == "[":
-            return self.parse_list()
+            self.next()
+            kind, val, _, _ = self.peek()
+            if kind == _PUNCT and val == "]":
+                self.next()
+                return EMPTY_LIST
+            if kind == _EOF:
+                raise self.fail("unterminated list", expected=("term", "']'"))
+            stack.append(["[", None, []])
+            return None
         raise self.fail(f"got {self.describe()}", expected=("term",))
 
     def anonymous(self) -> Var:
         """A variable for `_`, named `_A<n>` but never as a variable the
-        clause or query writes, so the name survives printing and parsing."""
+        clause writes, so the name survives printing and parsing.  In a
+        query it is named `_#A<n>`, in the solver's own namespace, which no
+        query can write and no answer reports."""
         if self.written is None:
             self.written = set()
             i = self.scope
@@ -180,43 +228,13 @@ class _Parser:
                 i += 1
         while True:
             self.anon += 1
-            name = f"_A{self.anon}"
+            name = f"{self.anon_prefix}{self.anon}"
             if name not in self.written:
                 return Var(name)
 
     def begin_scope(self) -> None:
         self.scope = self.pos
         self.written = None
-
-    def parse_list(self) -> Term:
-        self.expect_punct("[")
-        kind, val, _, _ = self.peek()
-        if kind == _PUNCT and val == "]":
-            self.next()
-            return EMPTY_LIST
-        if kind == _EOF:
-            raise self.fail("unterminated list", expected=("term", "']'"))
-        items = [self.parse_term()]
-        tail: Optional[Term] = None
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == _PUNCT and val == ",":
-                self.next()
-                items.append(self.parse_term())
-            elif kind == _PUNCT and val == "|":
-                self.next()
-                tail = self.parse_term()
-                self.expect_punct("]")
-                break
-            elif kind == _PUNCT and val == "]":
-                self.next()
-                break
-            else:
-                raise self.fail(
-                    f"unterminated list, got {self.describe()}",
-                    expected=("','", "'|'", "']'"),
-                )
-        return make_list(items, tail if tail is not None else EMPTY_LIST)
 
     def parse_literal(self) -> Literal:
         kind, val, _, _ = self.peek()
@@ -284,6 +302,7 @@ class _Parser:
 
     def parse_query(self) -> List[Literal]:
         self.begin_scope()
+        self.anon_prefix = "_#A"
         self.expect_punct("?-")
         if self.peek()[0] == _PUNCT and self.peek()[1] == ".":
             raise self.fail("empty goal", expected=("literal",))

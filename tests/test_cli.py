@@ -104,6 +104,26 @@ def test_solve_trace_goes_to_stderr(family_file, capsys):
     assert "call parent" in captured.err
 
 
+def test_solve_leaves_anonymous_variables_out(tmp_path, capsys):
+    path = tmp_path / "pair.pl"
+    path.write_text("pair(a, b).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "pair(X, _)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["X = a"]
+    assert cli_main(["solve", str(path), "-q", "pair(_, _)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["yes"]
+    assert cli_main(["solve", str(path), "-q", "pair(X, _A1)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["X = a, _A1 = b"]
+
+
+def test_solve_nested_negation_within_the_step_budget(tmp_path, capsys):
+    # 24 nested negations once ran out of a step budget halved per level.
+    path = tmp_path / "even.pl"
+    path.write_text("even(z). even(s(X)) :- not even(X).\n", encoding="utf-8")
+    query = "even(" + "s(" * 24 + "z" + ")" * 25 + "."
+    assert cli_main(["solve", str(path), "-q", query]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["yes"]
+
+
 def test_bad_query_is_a_parse_error(family_file, capsys):
     assert cli_main(["solve", family_file, "-q", "niece(X"]) == EXIT_PARSE
 

@@ -1,5 +1,7 @@
 """Solver behaviour: answers, negation, budgets, and oracle agreement."""
 
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,20 @@ def test_unbound_answer_uses_presentation_names():
     p = parse_program("pair(X, X).")
     answers = answers_for(p, "?- pair(A, B).")
     assert [str(a) for a in answers] == ["A = _A, B = _A"]
+
+
+def test_anonymous_query_variables_are_not_answers():
+    p = parse_program("pair(a, b). pair(a, c).")
+    # Both pair/2 facts give X = a: the `_` is no part of the dedup key.
+    assert [str(a) for a in answers_for(p, "?- pair(X, _).")] == ["X = a"]
+    assert [str(a) for a in answers_for(p, "?- pair(_, _).")] == ["yes"]
+    # Written names that merely start with an underscore are answers.
+    assert [str(a) for a in answers_for(p, "?- pair(_Foo, _A1).")] == [
+        "_Foo = a, _A1 = b",
+        "_Foo = a, _A1 = c",
+    ]
+    [answer] = answers_for(p, "?- pair(X, _), pair(_, Y), Y = b.")
+    assert answer.order == ("X", "Y") and set(answer.bindings) == {"X", "Y"}
 
 
 def test_fresh_variables_cannot_alias_query_variables():
@@ -474,6 +490,54 @@ def test_naf_over_cyclic_call_decided_by_loop_check():
     p = parse_program("loop(X) :- loop(X). top :- not loop(a).")
     answers = answers_for(p, "?- top.", SolveConfig(step_budget=20_000))
     assert [str(a) for a in answers] == ["yes"]
+
+
+EVEN = "even(z). even(s(X)) :- not even(X).\n"
+
+
+def _even_goal(n):
+    t = Const("z")
+    for _ in range(n):
+        t = Struct("s", (t,))
+    return [Literal(Struct("even", (t,)))]
+
+
+@pytest.mark.parametrize("n, expected", [(24, ["yes"]), (25, []), (40, ["yes"]), (2_000, ["yes"])])
+def test_nested_negation_is_bounded_by_the_depth_cap_alone(n, expected):
+    # Each level of `not` nests the next; none of them gets a smaller
+    # share of the step budget than the solve has.
+    answers, status = solve_all(parse_program(EVEN), _even_goal(n))
+    assert [str(a) for a in answers] == expected
+    assert status == "exhausted"
+
+
+def test_self_negation_stops_at_the_depth_cap():
+    start = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="depth cap"):
+        list(solve(parse_program("p :- not p."), parse_query("?- p.")))
+    assert time.monotonic() - start < 1.0
+
+
+def test_negation_with_open_choice_points_inside_a_backtracking_conjunction():
+    # bad(1, a) has two proofs and choice points left open below the first;
+    # v/3 fails for (3, d), so the search backtracks past the negation into
+    # w/2 and r/1.  The nested `not quiet(L)` has proofs of its own.
+    p = parse_program(
+        "r(1). r(2). r(3). r(4).\n"
+        "w(1, a). w(1, b). w(2, a). w(3, c). w(3, d). w(4, e).\n"
+        "bad(X, W) :- link(X, W, L), not quiet(L).\n"
+        "link(1, a, p). link(1, a, q). link(1, a, r). link(2, a, p).\n"
+        "link(3, c, r). link(3, c, q). link(4, e, r).\n"
+        "quiet(r). quiet(r).\n"
+        "v(1, b, z1). v(1, b, z2). v(2, a, z3). v(4, e, z5). v(4, e, z6).\n"
+    )
+    query = "?- r(X), w(X, W), not bad(X, W), v(X, W, Z)."
+    assert [str(a) for a in answers_for(p, query)] == [
+        "X = 1, W = b, Z = z1",
+        "X = 1, W = b, Z = z2",
+        "X = 4, W = e, Z = z5",
+        "X = 4, W = e, Z = z6",
+    ]
 
 
 # -- loop check and resource limits -----------------------------------------------

@@ -128,6 +128,24 @@ def test_anonymous_variables_never_alias_written_ones():
     assert format_program(parse_program(format_program(p))) == format_program(p)
 
 
+@pytest.mark.parametrize(
+    "deep",
+    [
+        "f(" * 10_000 + "a" + ")" * 10_000,
+        "[" * 10_000 + "]" * 10_000,
+        "[" * 10_000 + "x|T" + "]" * 10_000,
+    ],
+    ids=["compound", "list", "partial_list"],
+)
+def test_deep_terms_parse_solve_and_print_without_recursion(deep):
+    text = f"d({deep}).\n"
+    program = parse_program(text)
+    assert format_program(program) == text
+    [answer] = solve_all(program, parse_query("?- d(X)."))[0]
+    assert str(answer) == "X = " + deep.replace("T", "_A")
+    assert format_term(parse_term_text(deep)) == deep
+
+
 def test_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse_program("foo(a)\nbar(b).")
