@@ -1,7 +1,8 @@
 """Command-line interface: parse, solve, prune, graph, plan.
 
 Exit codes: 0 success, 1 no answer / no plan, 2 usage error, 3 timeout
-or budget exhausted, 4 parse or scene-schema error, 5 internal error.
+or budget exhausted, 4 parse or scene-schema error, 5 internal error,
+6 floundering (a negated call or insert_sorted/3 reached non-ground).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 EXIT_PARSE = 4
 EXIT_INTERNAL = 5
+EXIT_FLOUNDER = 6
 
 
 def _read_text(path: str) -> str:
@@ -84,7 +86,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             count += 1
     except FlounderError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_ANSWER
+        return EXIT_FLOUNDER
     except (SolveTimeout, BudgetExceeded) as e:
         print(f"stopped: {e}", file=sys.stderr)
         return EXIT_TIMEOUT

@@ -5,8 +5,10 @@ left to right.  A call whose first argument is bound tries only the
 clauses whose head's first argument can match it (first-argument
 indexing).  A clause is tried without copying it: the call is unified
 with the clause's compiled head over a fresh frame of its variables, and
-the body is built from that frame only once the head matches.  A positive call that is a variant of an ancestor call on the
-current derivation path fails (loop check), which makes the kind of left
+the body is built from that frame only once the head matches.
+
+A positive call that is a variant of an ancestor call on the current
+derivation path fails (loop check), which makes the kind of left
 recursion found in family-tree rule sets terminate.  Negation as failure
 runs the positive atom one level deeper on the same stacks, behind a
 barrier choice point, under the solve's one step budget and depth cap;
@@ -59,6 +61,7 @@ __all__ = [
     "FlounderError",
     "PRELUDE",
     "PRELUDE_PREDS",
+    "layer_facts",
     "solve",
     "solve_all",
 ]
@@ -182,12 +185,17 @@ def _first_arg_table(
     compound's functor and arity) to the clauses a call with that key can
     match: those with the key and those with a variable there.  The second
     value holds the variable-headed clauses alone, for keys no head has.
-    Both keep source order.
+    Both keep source order.  When every first argument is a distinct
+    constant, as in a scene's facts, the dict comes from one comprehension.
     """
+    firsts = [c.head.args[0] for c in clauses]
+    if all(type(f) is Const for f in firsts):
+        table = {f.value: (c,) for f, c in zip(firsts, clauses)}
+        if len(table) == len(clauses):
+            return table, ()
     by_key: Dict[object, List[Clause]] = {}
     open_heads: List[Clause] = []
-    for c in clauses:
-        first = c.head.args[0]
+    for c, first in zip(clauses, firsts):
         if type(first) is Var:
             open_heads.append(c)
             for matching in by_key.values():
@@ -211,10 +219,12 @@ class _ProgramIndex:
 
     `lookup` maps each predicate to its clauses, the prelude filling in
     what the program does not define; `cyclic` holds the predicates on a
-    cycle of the call graph; `tables` holds a predicate's first-argument
-    table from the first call to it with a bound first argument.  It is
-    cached on the program, so NAF sub-derivations and every solve over the
-    same program (the planner's one per plan length) share it.
+    cycle of the call graph; `tables` holds first-argument tables, every
+    rule predicate's from the start and a fact-only predicate's from the
+    first call to it with a bound first argument.  It is cached on the
+    program, so every solve over the same program (the planner's one per
+    plan length) shares it.  `layer_facts` puts a program's facts on top
+    of a built index without deriving the rest again.
     """
 
     __slots__ = ("lookup", "cyclic", "tables", "native_insert", "native_member")
@@ -225,7 +235,11 @@ class _ProgramIndex:
             lookup.setdefault(pred, clauses)
         self.lookup = lookup
         self.cyclic = _cyclic_preds(lookup)
-        self.tables: Dict[PredId, tuple] = {}
+        self.tables: Dict[PredId, tuple] = {
+            pred: _first_arg_table(clauses)
+            for pred, clauses in lookup.items()
+            if pred.arity and any(c.body for c in clauses)
+        }
         self.native_insert = _INSERT_SORTED not in program.index
         self.native_member = _MEMBER not in program.index
 
@@ -243,6 +257,34 @@ def _program_index(program: Program) -> _ProgramIndex:
     if idx is None:
         idx = program.solver_index = _ProgramIndex(program)
     return idx
+
+
+def layer_facts(kb: Program, facts: Program) -> Program:
+    """`kb + facts`, solved over kb's own index with the facts' predicates
+    layered on top: kb is indexed once, however many fact programs meet it.
+
+    Facts add no call-graph edge, so the layered index shares kb's cyclic
+    set, and it copies kb's lookup and tables (a few dozen entries) rather
+    than deriving them from every clause.  Raises ValueError when `facts`
+    holds a rule, or defines a predicate that kb, the prelude or the solver
+    already provides.
+    """
+    if any(c.body for c in facts.clauses):
+        raise ValueError("only facts can be layered on a program's index")
+    base = _program_index(kb)
+    clash = [p for p in facts.index if p in base.lookup or p in PRELUDE_PREDS]
+    if clash:
+        names = ", ".join(map(str, clash))
+        raise ValueError(f"facts define {names}, which the program already provides")
+    index = _ProgramIndex.__new__(_ProgramIndex)
+    index.lookup = {**base.lookup, **facts.index}
+    index.cyclic = base.cyclic
+    index.tables = dict(base.tables)
+    index.native_insert = base.native_insert
+    index.native_member = base.native_member
+    program = kb + facts
+    program.solver_index = index
+    return program
 
 
 def _is_cell(t: Term) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import SolveConfig, SolveTimeout, solve
+from .engine import SolveConfig, SolveTimeout, layer_facts, solve
 from .parser import parse_program
 from .program import Literal, Program
 from .relevance import prune_program
@@ -316,16 +316,18 @@ def plan(
 ) -> Optional[List[Action]]:
     """Find a shortest plan for the task, or None when there is none.
 
-    The combined program (planning_kb() + scene facts) is solved with an
-    exact-length action skeleton for each length 1..max_plan_len in turn.
-    SolveTimeout and BudgetExceeded propagate.
+    The scene's facts are layered on planning_kb() (see
+    `engine.layer_facts`), whose solver index is built once per process,
+    and the result is solved with an exact-length action skeleton for each
+    length 1..max_plan_len in turn.  SolveTimeout and BudgetExceeded
+    propagate.
     """
     options = options or PlanOptions()
     if goal_satisfied(state, task):
         return []
 
     goal_list = make_list(encode_goal_fluents(task, state))
-    program = planning_kb() + state_to_facts(state)
+    program = layer_facts(planning_kb(), state_to_facts(state))
 
     base_cfg = options.config
     deadline = None

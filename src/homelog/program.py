@@ -13,6 +13,7 @@ __all__ = [
     "Literal",
     "Clause",
     "Program",
+    "ground_facts",
     "pred_of",
     "format_literal",
     "format_clause",
@@ -97,6 +98,40 @@ class Clause:
         return not self.body
 
 
+_CLAUSE_SETTERS = tuple(Clause.__dict__[f].__set__ for f in ("head", "body", "head_pred", "code"))
+
+
+def ground_facts(rows: Iterable[Tuple[str, Tuple[Term, ...]]]) -> List[Clause]:
+    """The fact name(*args) for each (name, args) row of ground arguments.
+
+    Each equals `Clause(Struct(name, args))`, with the same `head_pred` and
+    `code`.  Only a predicate's first fact goes through that constructor,
+    which refuses a builtin head; the rest skip the dataclass `__init__`
+    and `__post_init__`, reuse its predicate and compile to their own
+    arguments.  A row with a variable raises ValueError.
+    """
+    set_head, set_body, set_pred, set_code = _CLAUSE_SETTERS
+    new = object.__new__
+    preds: Dict[str, PredId] = {}
+    facts: List[Clause] = []
+    for name, args in rows:
+        head = Struct(name, args)
+        if not head.ground:
+            raise ValueError(f"not a ground fact: {format_term(head)}")
+        pred = preds.get(name)
+        if pred is None or pred.arity != len(args):
+            fact = Clause(head)
+            preds[name] = fact.head_pred
+        else:
+            fact = new(Clause)
+            set_head(fact, head)
+            set_body(fact, ())
+            set_pred(fact, pred)
+            set_code(fact, (0, args, (), ()))
+        facts.append(fact)
+    return facts
+
+
 def _compile_clause(head: Term, body: Tuple[Literal, ...]) -> tuple:
     args = head.args if type(head) is Struct else ()
     if not body and (not args or head.ground):
@@ -117,7 +152,10 @@ class Program:
 
     The index is an exact partition of the clauses; both views preserve
     source order.  `solver_index` caches what the solver derives from the
-    clauses (see `engine._ProgramIndex`); it is filled on the first solve.
+    clauses (see `engine._ProgramIndex`).  It is filled on the first solve,
+    except in a program made by `engine.layer_facts`: there it is the
+    knowledge base's own index, built once per knowledge-base object, with
+    the facts' predicates layered on top.
     """
 
     __slots__ = ("clauses", "index", "solver_index")
@@ -142,7 +180,15 @@ class Program:
         return isinstance(other, Program) and self.clauses == other.clauses
 
     def __add__(self, other: "Program") -> "Program":
-        return Program(self.clauses + other.clauses)
+        """Both clause lists in order, indexed by merging the two indexes
+        predicate by predicate rather than by walking every clause."""
+        out = Program(())
+        out.clauses = self.clauses + other.clauses
+        index = dict(self.index)
+        for pred, clauses in other.index.items():
+            index[pred] = index.get(pred, ()) + clauses
+        out.index = index
+        return out
 
     def defines(self, pred: PredId) -> bool:
         return pred in self.index

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .program import Clause, Program
+from .program import Program, ground_facts
 from .terms import Const, Struct, Term, format_term, make_list
 
 __all__ = [
@@ -299,28 +299,26 @@ def state_to_facts(state: WorldState) -> Program:
     """The state as facts: object typing and placement, device state,
     object properties, and one close_to_character/1 fact holding the
     canonical fluent list.  Rooms and the agent get no facts of their
-    own: no plan reads them."""
-    clauses: List[Clause] = []
+    own: no plan reads them.  Each object id, type and room becomes one
+    `Const`, shared by every fact that names it."""
+    objects = state.objects
+    order = sorted(objects)
+    consts: Dict[str, Const] = {}
 
-    def fact(name: str, *args: Term) -> None:
-        clauses.append(Clause(Struct(name, args)))
+    def const(value: str) -> Const:
+        c = consts.get(value)
+        if c is None:
+            c = consts[value] = Const(value)
+        return c
 
-    for obj_id in sorted(state.objects):
-        fact("type", Const(obj_id), Const(state.objects[obj_id].type))
-    for obj_id in sorted(state.objects):
-        fact("inside", Const(obj_id), Const(state.objects[obj_id].room))
-    for obj_id in sorted(state.objects):
-        obj = state.objects[obj_id]
-        if obj.switchable:
-            fact("on" if obj.powered == "on" else "off", Const(obj_id))
-    for obj_id in sorted(state.objects):
-        if state.objects[obj_id].grabbable:
-            fact("grabbable", Const(obj_id))
-    for obj_id in sorted(state.objects):
-        if state.objects[obj_id].sittable:
-            fact("sittable", Const(obj_id))
-    fact("close_to_character", make_list(fluent_list(state)))
-    return Program(clauses)
+    objs = [(const(obj_id), objects[obj_id]) for obj_id in order]
+    rows = [("type", (i, const(o.type))) for i, o in objs]
+    rows += [("inside", (i, const(o.room))) for i, o in objs]
+    rows += [("on" if o.powered == "on" else "off", (i,)) for i, o in objs if o.switchable]
+    rows += [("grabbable", (i,)) for i, o in objs if o.grabbable]
+    rows += [("sittable", (i,)) for i, o in objs if o.sittable]
+    rows.append(("close_to_character", (make_list(fluent_list(state)),)))
+    return Program(ground_facts(rows))
 
 
 # -- scene documents -----------------------------------------------------------

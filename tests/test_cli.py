@@ -8,6 +8,7 @@ import pytest
 from conftest import FAMILY_TEXT
 import homelog.cli as cli
 from homelog.cli import (
+    EXIT_FLOUNDER,
     EXIT_INTERNAL,
     EXIT_NO_ANSWER,
     EXIT_OK,
@@ -84,8 +85,18 @@ def test_solve_no_answers(family_file, capsys):
 
 def test_solve_flounder_reports_error(family_file, capsys):
     code = cli_main(["solve", family_file, "-q", "not parent(X, abe)."])
-    assert code == EXIT_NO_ANSWER
+    assert code == EXIT_FLOUNDER
     assert "error" in capsys.readouterr().err
+
+
+def test_floundering_exits_apart_from_no_answers(tmp_path, capsys):
+    path = tmp_path / "p.pl"
+    path.write_text("p(a).\n", encoding="utf-8")
+    code = cli_main(["solve", str(path), "-q", "p(X), not p(Y)."])
+    assert code == EXIT_FLOUNDER
+    assert code not in (EXIT_OK, EXIT_NO_ANSWER, EXIT_USAGE, EXIT_TIMEOUT, EXIT_PARSE, EXIT_INTERNAL)
+    assert "error: negated call not ground: not p(" in capsys.readouterr().err
+    assert f"{EXIT_FLOUNDER} floundering" in " ".join(README.read_text(encoding="utf-8").split())
 
 
 def test_solve_budget_exit_code(family_file, capsys):

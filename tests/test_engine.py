@@ -12,7 +12,10 @@ from homelog.engine import (
     FlounderError,
     SolveConfig,
     _cyclic_preds,
+    _first_arg_table,
     _program_index,
+    _ProgramIndex,
+    layer_facts,
     solve,
     solve_all,
 )
@@ -235,6 +238,80 @@ def test_cyclic_predicates_of_the_planning_program():
     assert _program_index(planning_kb() + state_to_facts(random_scene(7, 100))).cyclic == want
 
 
+def _force_tables(index):
+    """Build every predicate's first-argument table through the lookup path."""
+    for pred in index.lookup:
+        if pred.arity:
+            index.clauses(pred, Const("no_such_key"))
+    return index
+
+
+@pytest.mark.parametrize("seed, n_objects", [(3, 6), (7, 100), (11, 400)])
+def test_layered_index_equals_a_fresh_index(seed, n_objects):
+    facts = state_to_facts(random_scene(seed, n_objects))
+    program = layer_facts(planning_kb(), facts)
+    fresh = _ProgramIndex(planning_kb() + facts)
+    layered = program.solver_index
+    assert layered is not planning_kb().solver_index
+    assert layered.cyclic is planning_kb().solver_index.cyclic
+    assert program == planning_kb() + facts
+    assert layered.lookup == fresh.lookup
+    assert layered.cyclic == fresh.cyclic
+    assert (layered.native_insert, layered.native_member) == (fresh.native_insert, fresh.native_member)
+    assert _force_tables(layered).tables == _force_tables(fresh).tables
+
+
+def test_layering_leaves_the_knowledge_base_index_alone():
+    kb = planning_kb()
+    first = layer_facts(kb, state_to_facts(random_scene(7, 100)))
+    base = kb.solver_index
+    before = dict(base.tables)
+    answers, status = solve_all(first, parse_query("?- type(X, shirt), grabbable(X)."))
+    assert status == "exhausted" and answers
+    _force_tables(first.solver_index)
+    assert base.tables == before and kb.solver_index is base
+    second = layer_facts(kb, state_to_facts(random_scene(8, 6)))
+    assert second.solver_index.lookup[PredId("type", 2)] != first.solver_index.lookup[PredId("type", 2)]
+
+
+@pytest.mark.parametrize(
+    "fact",
+    ["transform(a, b).", "member(a, b).", "subset(a, b).", "insert_sorted(a, b, c).", "missing_goals(a, b, c)."],
+)
+def test_facts_that_the_knowledge_base_defines_do_not_layer(fact):
+    facts = parse_program("type(a, couch).\n" + fact)
+    with pytest.raises(ValueError, match="already provides"):
+        layer_facts(planning_kb(), facts)
+
+
+def test_rules_do_not_layer():
+    with pytest.raises(ValueError, match="only facts"):
+        layer_facts(planning_kb(), parse_program("type(a, couch). grabbable(X) :- type(X, couch)."))
+
+
+def test_first_argument_tables_match_their_definition():
+    def key(c):
+        first = c.head.args[0]
+        if type(first) is Var:
+            return None
+        return first.value if type(first) is Const else (first.functor, len(first.args))
+
+    programs = [
+        state_to_facts(random_scene(5, 60)),
+        parse_program("p(a, 1). p(b, 2). p(a, 3). p(1, x). p(f(a), y). p(f(b), z). p(X, w). p(c, v)."),
+        parse_program("q(a). q(b). q(X). q(c)."),
+        parse_program("e(a, b). e(a, c). e(b, c). e(1, d)."),
+        Program(Clause(Struct("r", (t,))) for t in (Const(1), Const("1"), Struct("f", (Const(1),)))),
+    ]
+    for program in programs:
+        for clauses in program.index.values():
+            table, open_heads = _first_arg_table(clauses)
+            assert open_heads == tuple(c for c in clauses if key(c) is None)
+            assert set(table) == {key(c) for c in clauses} - {None}
+            for k, picked in table.items():
+                assert picked == tuple(c for c in clauses if key(c) in (k, None))
+
+
 @pytest.mark.parametrize(
     "text, names",
     [
@@ -405,8 +482,8 @@ def test_naf_sub_derivation_shares_the_program_index():
     p = parse_program("ok(X) :- cand(X), not bad(X). cand(a). cand(b). cand(d). bad(b). bad(c).")
     assert [str(a) for a in answers_for(p, "?- ok(X).")] == ["X = a", "X = d"]
     index = p.solver_index
-    # bad/1 is only ever called inside NAF sub-derivations; its table is
-    # in the index the outer solve made, so they shared it.
+    # bad/1 is only ever called under `not`; its table is in the index the
+    # solve made, so negated calls look clauses up in the same index.
     assert PredId("bad", 1) in index.tables
     answers_for(p, "?- ok(d).")
     assert p.solver_index is index

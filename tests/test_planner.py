@@ -241,6 +241,19 @@ def test_prune_transparency(monkeypatch, six_scene, task_name):
     assert with_prune == without
 
 
+def test_the_whole_knowledge_base_gets_an_index_of_its_own(monkeypatch, six_scene):
+    task = TASK_CATALOG["grab_remote"]
+    plan(six_scene, task)
+    sliced = planning_kb().solver_index
+    monkeypatch.setattr(planner, "planning_kb", domain_kb)
+    plan(six_scene, task)
+    whole = domain_kb().solver_index
+    assert sliced is not None and whole is not None and whole is not sliced
+    assert planning_kb().solver_index is sliced
+    assert PredId("complete_task", 2) in whole.lookup
+    assert PredId("complete_task", 2) not in sliced.lookup
+
+
 @pytest.mark.parametrize("task_name", sorted(TASK_CATALOG))
 def test_plans_never_revisit_a_fluent_state(six_scene, task_name):
     task = TASK_CATALOG[task_name]
@@ -297,6 +310,19 @@ def test_every_task_plans_shortest_on_a_3000_object_scene():
     scene = random_scene(7, 3000)
     assert not scene.agent.close and not scene.agent.held
     options = PlanOptions(config=SolveConfig(wall_timeout=60.0))
+    lengths = []
+    for task in TASK_CATALOG.values():
+        actions = plan(scene, task, options)
+        assert actions is not None, task.name
+        assert goal_satisfied(execute_plan(scene, actions), task), task.name
+        lengths.append(len(actions))
+    assert lengths == [1, 2, 4, 4, 2]
+
+
+def test_every_task_plans_shortest_on_a_5000_object_scene():
+    scene = random_scene(7, 5000)
+    assert not scene.agent.close and not scene.agent.held
+    options = PlanOptions(config=SolveConfig(wall_timeout=120.0))
     lengths = []
     for task in TASK_CATALOG.values():
         actions = plan(scene, task, options)

@@ -7,9 +7,9 @@ import pytest
 
 from conftest import random_state_action_pairs, state_key
 from homelog.parser import parse_program
-from homelog.program import PredId, format_program
+from homelog.program import Clause, PredId, format_program, ground_facts
 from homelog.scenes import minimal_scene
-from homelog.terms import Const, Struct, format_term
+from homelog.terms import Const, Struct, Var, format_term
 from homelog.world import (
     IllegalAction,
     SchemaError,
@@ -371,6 +371,49 @@ def test_state_to_facts_round_trips_through_the_parser(six_scene):
     program = state_to_facts(six_scene)
     again = parse_program(format_program(program))
     assert list(again.clauses) == list(program.clauses)
+
+
+@pytest.mark.parametrize("seed, n_objects", [(1, 6), (2, 17), (3, 40), (4, 100), (5, 400)])
+def test_state_to_facts_builds_the_clauses_the_constructor_builds(seed, n_objects):
+    s = random_scene(seed, n_objects)
+    remote = min(i for i, o in s.objects.items() if o.type == "remotecontrol")
+    s = run(s, walk(remote), grab(remote))
+    facts = state_to_facts(s)
+    assert len(facts) > n_objects
+    for fact in facts:
+        want = Clause(Struct(fact.head.functor, fact.head.args))
+        assert fact == want
+        assert fact.head_pred == want.head_pred
+        assert fact.code == want.code
+        assert fact.is_fact and fact.head.ground
+
+
+def test_state_to_facts_shares_one_const_per_name():
+    facts = state_to_facts(random_scene(6, 100))
+    by_value = {}
+    for fact in facts:
+        for arg in fact.head.args:
+            if type(arg) is Const:
+                assert by_value.setdefault(arg.value, arg) is arg
+
+
+@pytest.mark.parametrize("functor", ["=", "\\="])
+def test_a_fact_cannot_define_a_builtin(functor):
+    args = (Const("a"), Const("b"))
+    with pytest.raises(ValueError, match="builtin"):
+        Clause(Struct(functor, args))
+    with pytest.raises(ValueError, match="builtin"):
+        ground_facts([("p", (Const("a"),)), (functor, args)])
+
+
+def test_ground_facts_refuse_a_variable():
+    with pytest.raises(ValueError, match="not a ground fact"):
+        ground_facts([("p", (Const("a"), Var("X")))])
+
+
+def test_ground_facts_keep_one_predicate_per_arity():
+    a, b = ground_facts([("p", (Const("a"),)), ("p", (Const("a"), Const("b")))])
+    assert (a.head_pred, b.head_pred) == (PredId("p", 1), PredId("p", 2))
 
 
 # -- random scenes ------------------------------------------------------------------------
