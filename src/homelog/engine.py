@@ -3,9 +3,11 @@
 Search is depth-first, clauses are tried in source order, body literals
 left to right.  A call whose first argument is bound tries only the
 clauses whose head's first argument can match it (first-argument
-indexing).  A clause is tried without copying it: the call is unified
-with the clause's compiled head over a fresh frame of its variables, and
-the body is built from that frame only once the head matches.
+indexing), and when that argument is a compound whose own first argument
+is bound, only those whose compound can match there too (a second level).
+A clause is tried without copying it: the call is unified with the
+clause's compiled head over a fresh frame of its variables, and the body
+is built from that frame only once the head matches.
 
 A positive call that is a variant of an ancestor call on the current
 derivation path fails (loop check), which makes the kind of left
@@ -16,7 +18,8 @@ non-ground negated calls flounder loudly.
 
 Unless the program defines them, `insert_sorted/3` is native and
 `member/2` walks a list's cells in one choice point: one step per cell,
-no loop-check key and no derivation level per cell.
+no loop-check key and no derivation level per cell, and a ground element
+is compared with ground cells by hash and equality rather than unified.
 
 Answers stream lazily from a generator.  The stream ends in one of three
 ways: normal exhaustion, `BudgetExceeded`, or `SolveTimeout` (the latter
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
 from .program import Clause, Literal, PredId, Program
@@ -179,14 +182,21 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
 def _first_arg_table(
     clauses: Tuple[Clause, ...],
 ) -> Tuple[Dict[object, Tuple[Clause, ...]], Tuple[Clause, ...]]:
-    """Index a predicate's clauses by the first argument of their heads.
+    """Index a predicate's clauses by the first argument of their heads, in
+    two levels: a compound is keyed by its functor and arity and also by
+    the key of its own first argument.
 
-    Returns a dict from each key some head has (a constant's value, or a
-    compound's functor and arity) to the clauses a call with that key can
-    match: those with the key and those with a variable there.  The second
-    value holds the variable-headed clauses alone, for keys no head has.
-    Both keep source order.  When every first argument is a distinct
-    constant, as in a scene's facts, the dict comes from one comprehension.
+    A head's key is a constant's value, or (functor, arity, inner) for a
+    compound, where inner is the `_arg_key` of the compound's first
+    argument, or None when that is a variable.  The dict maps each head's
+    key, and each compound's (functor, arity), to the clauses a call with
+    that key can match: those with the key, those with a variable there,
+    and, for a compound key, those of the same functor and arity whose
+    inner argument is a variable; (functor, arity) takes the whole family,
+    for calls whose inner argument is unbound.  The second value holds the
+    variable-headed clauses alone, for keys no head has.  All keep source
+    order.  When every first argument is a distinct constant, as in a
+    scene's facts, the dict comes from one comprehension.
     """
     firsts = [c.head.args[0] for c in clauses]
     if all(type(f) is Const for f in firsts):
@@ -198,14 +208,27 @@ def _first_arg_table(
     for c, first in zip(clauses, firsts):
         if type(first) is Var:
             open_heads.append(c)
-            for matching in by_key.values():
-                matching.append(c)
-            continue
-        k = _arg_key(first)
-        matching = by_key.get(k)
-        if matching is None:
-            matching = by_key[k] = list(open_heads)
-        matching.append(c)
+            keys: Iterable[object] = list(by_key)
+        elif type(first) is Const:
+            keys = (first.value,)
+        else:
+            outer = (first.functor, len(first.args))
+            inner = first.args[0]
+            if type(inner) is Var:
+                # It matches every call of its functor and arity.
+                keys = {outer, outer + (None,), *(k for k in by_key if type(k) is tuple and k[:2] == outer)}
+            else:
+                k = outer + (_arg_key(inner),)
+                if k not in by_key:
+                    # The earlier clauses that match k are those that match
+                    # an inner argument no head has.
+                    by_key[k] = list(by_key.get(outer + (None,), open_heads))
+                keys = (outer, k)
+        for k in keys:
+            got = by_key.get(k)
+            if got is None:
+                got = by_key[k] = list(open_heads)
+            got.append(c)
     return {k: tuple(v) for k, v in by_key.items()}, tuple(open_heads)
 
 
@@ -243,13 +266,24 @@ class _ProgramIndex:
         self.native_insert = _INSERT_SORTED not in program.index
         self.native_member = _MEMBER not in program.index
 
-    def clauses(self, pred: PredId, first: Term) -> Tuple[Clause, ...]:
+    def clauses(self, pred: PredId, first: Term, bindings: Subst) -> Tuple[Clause, ...]:
         """The clauses of `pred` a call whose first argument is `first`
-        (resolved, not a variable) can match, in source order."""
+        (resolved, not a variable) can match, in source order.  A compound's
+        own first argument is read through `bindings`."""
         table = self.tables.get(pred)
         if table is None:
             table = self.tables[pred] = _first_arg_table(self.lookup[pred])
-        return table[0].get(_arg_key(first), table[1])
+        by_key, open_heads = table
+        if type(first) is Const:
+            return by_key.get(first.value, open_heads)
+        outer = (first.functor, len(first.args))
+        inner = _walk(first.args[0], bindings)
+        if type(inner) is Var:
+            return by_key.get(outer, open_heads)
+        got = by_key.get(outer + (_arg_key(inner),))
+        if got is None:
+            got = by_key.get(outer + (None,), open_heads)
+        return got
 
 
 def _program_index(program: Program) -> _ProgramIndex:
@@ -434,7 +468,7 @@ class _Solver:
         if clauses and type(atom) is Struct:
             first = _walk(atom.args[0], self.bindings)
             if type(first) is not Var:
-                clauses = idx.clauses(pred, first)
+                clauses = idx.clauses(pred, first, self.bindings)
         return [node, clauses, 0, len(self.trail), key]
 
     def _resume(self, cp: list) -> object:
@@ -535,13 +569,18 @@ class _Solver:
         """Native member(X, L): unify X with the head of the next list cell.
 
         The rest of the list is resolved only after the trail is undone, so
-        bindings made for one element never steer the walk.  An unbound tail
-        is the last alternative: a member/2 call of its own, on the prelude
-        clauses, at the same depth and with the same ancestors.
+        bindings made for one element never steer the walk.  When X resolves
+        to a ground term, a ground cell is compared with it by its cached
+        hash and then `==`; other cells unify.  An unbound tail is the last
+        alternative: a member/2 call of its own, on the prelude clauses, at
+        the same depth and with the same ancestors.
         """
         node, _, _, mark, _ = cp
         atom, lit, anc, depth, nxt = node
-        x = atom.args[0]
+        undo_trail(self.bindings, self.trail, mark)
+        x = _walk(atom.args[0], self.bindings)
+        ground = type(x) is Const or (type(x) is Struct and x.ground)
+        hx = hash(x) if ground else None
         while True:
             undo_trail(self.bindings, self.trail, mark)
             rest = _walk(cp[1], self.bindings)
@@ -549,7 +588,10 @@ class _Solver:
                 break
             self._step()
             head, cp[1] = rest.args
-            if unify_in_place(x, head, self.bindings, self.trail):
+            if ground and (type(head) is Const or (type(head) is Struct and head.ground)):
+                if hash(head) == hx and head == x:
+                    return nxt
+            elif unify_in_place(x, head, self.bindings, self.trail):
                 return nxt
         cp[1] = EMPTY_LIST
         if type(rest) is Var:

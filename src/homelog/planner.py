@@ -296,9 +296,8 @@ def encode_task(task: Task, state: WorldState) -> Literal:
 
 
 def goal_satisfied(state: WorldState, task: Task) -> bool:
-    goals = encode_goal_fluents(task, state)
-    current = set(map(format_term, fluent_list(state)))
-    return all(format_term(g) in current for g in goals)
+    current = set(fluent_list(state))
+    return all(g in current for g in encode_goal_fluents(task, state))
 
 
 def execute_plan(state: WorldState, actions: Sequence[Action]) -> WorldState:

@@ -50,11 +50,13 @@ class Struct:
     """A compound term.
 
     `ground` is true when no variable occurs in the term.  It is computed
-    once, at construction, from the children's flags, and a ground term's
-    structural hash is cached with it, so walks that only look for
-    variables stop at ground subterms and equality rejects most unequal
-    ground terms with one integer compare.  Equality and hashing are
-    structural and walk the term without recursion.
+    once, at construction, from the children's flags, so walks that only
+    look for variables stop at ground subterms.  The structural hash is
+    cached on the term the first time it is hashed or, for a ground term,
+    compared, so equality rejects most unequal ground terms with one
+    integer compare and terms that are never hashed never pay for it.
+    Equality and hashing are structural and walk the term without
+    recursion.
     """
 
     __slots__ = ("functor", "args", "ground", "_hash")
@@ -64,13 +66,12 @@ class Struct:
             raise ValueError("compound term needs at least one argument")
         self.functor = functor
         self.args = args
+        self._hash = None
         for a in args:
             if type(a) is Var or (type(a) is Struct and not a.ground):
                 self.ground = False
-                self._hash = None
                 return
         self.ground = True
-        self._hash = hash((functor, args))
 
     @property
     def arity(self) -> int:
@@ -82,8 +83,8 @@ class Struct:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            # Fill the hashes of non-ground subterms bottom-up, so that
-            # hashing a node's args tuple never descends more than a level.
+            # Fill the missing hashes of subterms bottom-up, so that hashing
+            # a node's args tuple never descends more than a level.
             stack = [self]
             while stack:
                 t = stack[-1]
@@ -114,7 +115,7 @@ class Struct:
                 continue
             if (
                 a.ground is not b.ground
-                or (a.ground and a._hash != b._hash)
+                or (a.ground and hash(a) != hash(b))
                 or a.functor != b.functor
                 or len(a.args) != len(b.args)
             ):
@@ -345,28 +346,43 @@ def rename_apart_term(code: Sequence[object], frame: List[Optional[Term]], fresh
 def variant_key(t: Term, bindings: Optional[Subst] = None) -> Tuple[int, tuple]:
     """A hashable key equal for two terms exactly when they are variants.
 
-    Variables bound in `bindings` are read through: the term is resolved
-    first, so a compound that is ground through bindings is rebuilt ground.
-    The key lists the term in prefix order: variables as their number in
-    first-occurrence order, constants and ground compounds as themselves,
-    other compounds as (functor, arity).  It is returned with its hash in
-    front, so comparing two keys usually stops at one integer compare.
+    Variables bound in `bindings` are read through in the same walk, and a
+    compound that is ground only through bindings keys as the equal ground
+    Struct, so the key is that of the resolved term.  The key lists the
+    term in prefix order: variables as their number in first-occurrence
+    order, constants and ground compounds as themselves, other compounds
+    as (functor, arity).  It is returned with its hash in front, so
+    comparing two keys usually stops at one integer compare.
     """
-    if bindings:
-        t = apply_subst(bindings, t)
     mapping: Dict[str, int] = {}
     key: List[object] = []
-    stack = [t]
-    while stack:
-        cur = stack.pop()
+    todo: List[object] = [t]
+    while todo:
+        cur = todo.pop()
+        if type(cur) is int:
+            # The arguments of the compound keyed from key[cur] are done.  If
+            # each one keyed as a single term, the compound is ground.
+            functor, n = key[cur]
+            if len(key) - cur - 1 == n:
+                args = tuple(key[cur + 1 :])
+                if not any(type(a) is int for a in args):
+                    del key[cur:]
+                    key.append(Struct(functor, args))
+            continue
+        while type(cur) is Var and bindings:
+            nxt = bindings.get(cur.name)
+            if nxt is None:
+                break
+            cur = nxt
         if type(cur) is Var:
             n = mapping.get(cur.name)
             if n is None:
                 n = mapping[cur.name] = len(mapping)
             key.append(n)
         elif type(cur) is Struct and not cur.ground:
+            todo.append(len(key))
             key.append((cur.functor, len(cur.args)))
-            stack.extend(reversed(cur.args))
+            todo.extend(reversed(cur.args))
         else:
             key.append(cur)
     out = tuple(key)
@@ -375,28 +391,7 @@ def variant_key(t: Term, bindings: Optional[Subst] = None) -> Tuple[int, tuple]:
 
 def variant_of(t1: Term, t2: Term) -> bool:
     """True when the terms are equal up to a bijective renaming of variables."""
-    fwd: Dict[str, str] = {}
-    bwd: Dict[str, str] = {}
-    stack = [(t1, t2)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is Var and type(b) is Var:
-            if fwd.setdefault(a.name, b.name) != b.name or bwd.setdefault(b.name, a.name) != a.name:
-                return False
-        elif type(a) is Struct and type(b) is Struct:
-            if a.ground or b.ground:
-                if a != b:
-                    return False
-            elif a.functor != b.functor or len(a.args) != len(b.args):
-                return False
-            else:
-                stack.extend(zip(a.args, b.args))
-        elif type(a) is Const and type(b) is Const:
-            if a.value != b.value:
-                return False
-        else:
-            return False
-    return True
+    return variant_key(t1) == variant_key(t2)
 
 
 def format_term(t: Term) -> str:

@@ -242,7 +242,7 @@ def _force_tables(index):
     """Build every predicate's first-argument table through the lookup path."""
     for pred in index.lookup:
         if pred.arity:
-            index.clauses(pred, Const("no_such_key"))
+            index.clauses(pred, Const("no_such_key"), {})
     return index
 
 
@@ -289,27 +289,120 @@ def test_rules_do_not_layer():
         layer_facts(planning_kb(), parse_program("type(a, couch). grabbable(X) :- type(X, couch)."))
 
 
-def test_first_argument_tables_match_their_definition():
-    def key(c):
-        first = c.head.args[0]
-        if type(first) is Var:
-            return None
-        return first.value if type(first) is Const else (first.functor, len(first.args))
+def _head_key(c):
+    """A head's two-level index key: None for a variable, a constant's value,
+    or (functor, arity, inner) for a compound, inner being None for a
+    variable, a constant's value, or a compound's (functor, arity)."""
+    first = c.head.args[0]
+    if type(first) is Var:
+        return None
+    if type(first) is Const:
+        return first.value
+    inner = first.args[0]
+    if type(inner) is Var:
+        return (first.functor, len(first.args), None)
+    inner_key = inner.value if type(inner) is Const else (inner.functor, len(inner.args))
+    return (first.functor, len(first.args), inner_key)
 
+
+def _head_matches(head_key, call_key):
+    """Whether a head with `head_key` can match a call with `call_key`, a
+    (functor, arity) call key being a compound whose inner argument is unbound."""
+    if head_key is None or head_key == call_key:
+        return True
+    if type(head_key) is tuple and type(call_key) is tuple and head_key[:2] == call_key[:2]:
+        return len(call_key) == 2 or head_key[2] is None
+    return False
+
+
+_UPDATE_WALKING = """\
+uw([], _, []).
+uw([close(Y)|Rest], State, [close(Y)|Kept]) :- member(holds(Y), State), uw(Rest, State, Kept).
+uw([close(Y)|Rest], State, Kept) :- not member(holds(Y), State), uw(Rest, State, Kept).
+uw(Any, State, Kept) :- other(Any, State, Kept).
+uw([holds(Y)|Rest], State, [holds(Y)|Kept]) :- uw(Rest, State, Kept).
+uw([on(Y)|Rest], State, [on(Y)|Kept]) :- uw(Rest, State, Kept).
+uw([sitting_on(_)|Rest], State, Kept) :- uw(Rest, State, Kept).
+other(_, _, []).
+"""
+
+
+def test_first_argument_tables_match_their_definition():
     programs = [
         state_to_facts(random_scene(5, 60)),
         parse_program("p(a, 1). p(b, 2). p(a, 3). p(1, x). p(f(a), y). p(f(b), z). p(X, w). p(c, v)."),
         parse_program("q(a). q(b). q(X). q(c)."),
         parse_program("e(a, b). e(a, c). e(b, c). e(1, d)."),
         Program(Clause(Struct("r", (t,))) for t in (Const(1), Const("1"), Struct("f", (Const(1),)))),
+        parse_program(_UPDATE_WALKING),
+        _second_level_program(),
+        parse_program("s([1|_]). s([X|_]). s([f(a)|_]). s(Z). s([1|T]). s(g(h(1))). s([Y|T]). s(g(Z)). s(g(h(2)))."),
+        planning_kb(),
     ]
     for program in programs:
         for clauses in program.index.values():
+            if not clauses[0].head.args:
+                continue
             table, open_heads = _first_arg_table(clauses)
-            assert open_heads == tuple(c for c in clauses if key(c) is None)
-            assert set(table) == {key(c) for c in clauses} - {None}
+            keys = {_head_key(c) for c in clauses} - {None}
+            assert open_heads == tuple(c for c in clauses if _head_key(c) is None)
+            assert set(table) == keys | {k[:2] for k in keys if type(k) is tuple}
             for k, picked in table.items():
-                assert picked == tuple(c for c in clauses if key(c) in (k, None))
+                assert picked == tuple(c for c in clauses if _head_matches(_head_key(c), k))
+
+
+def _offered(program, call_text, bindings=None):
+    """The clauses the index offers a call, as their source positions."""
+    call = parse_term_text(call_text)
+    index = _ProgramIndex(program)
+    clauses = program.index[PredId(call.functor, len(call.args))]
+    offered = index.clauses(PredId(call.functor, len(call.args)), call.args[0], bindings or {})
+    return [clauses.index(c) for c in offered]
+
+
+def test_a_list_call_is_offered_only_the_clauses_of_its_element():
+    program = parse_program(_UPDATE_WALKING)
+    assert _offered(program, "uw([holds(o3)|T], S, K)") == [3, 4]
+    assert _offered(program, "uw([close(o3)|T], S, K)") == [1, 2, 3]
+    assert _offered(program, "uw([sitting_on(o3)], S, K)") == [3, 6]
+    assert _offered(program, "uw([under(o3)|T], S, K)") == [3]
+    assert _offered(program, "uw([], S, K)") == [0, 3]
+    answers = answers_for(program, "?- uw([holds(a), close(b), on(c), sitting_on(d)], [holds(a)], K).")
+    assert [format_term(a.bindings["K"]) for a in answers] == ["[]", "[holds(a)]", "[holds(a), on(c)]"]
+
+
+def _second_level_program():
+    """s([1|_], int). s(['1'|_], atom). s([f(a)|_], f1). s([f(a, b)|_], f2).
+    s([X|_], any).  The text parser reads no quoted atoms, so it is built."""
+    a, b = Const("a"), Const("b")
+    heads = [(Const(1), "int"), (Const("1"), "atom"), (Struct("f", (a,)), "f1"),
+             (Struct("f", (a, b)), "f2"), (Var("X"), "any")]
+    return Program(
+        Clause(Struct("s", (Struct(".", (element, Var("_T"))), Const(name)))) for element, name in heads
+    )
+
+
+def test_the_second_level_keeps_integers_atoms_and_arities_apart():
+    program = _second_level_program()
+    assert _offered(program, "s([1|T], W)") == [0, 4]
+    assert _offered(program, "s([X|T], W)", {"X": Const("1")}) == [1, 4]
+    assert _offered(program, "s([f(z)|T], W)") == [2, 4]
+    assert _offered(program, "s([f(z, w)|T], W)") == [3, 4]
+    assert _offered(program, "s([f(z, w, v)|T], W)") == [4]
+    assert _offered(program, "s([2|T], W)") == [4]
+    goal = Literal(Struct("s", (make_list([Const("1"), Const(1)]), Var("W"))))
+    answers, status = solve_all(program, [goal])
+    assert status == "exhausted"
+    assert [format_term(a.bindings["W"]) for a in answers] == ["atom", "any"]
+
+
+def test_an_inner_argument_is_read_through_bindings():
+    program = parse_program(_UPDATE_WALKING)
+    every_list_clause = [1, 2, 3, 4, 5, 6]
+    assert _offered(program, "uw([X|T], S, K)") == every_list_clause
+    assert _offered(program, "uw([X|T], S, K)", {"X": Var("Y")}) == every_list_clause
+    assert _offered(program, "uw([X|T], S, K)", {"X": Var("Y"), "Y": parse_term_text("holds(a)")}) == [3, 4]
+    assert _offered(program, "uw([X|T], S, K)", {"X": parse_term_text("on(Z)")}) == [3, 5]
 
 
 @pytest.mark.parametrize(
@@ -450,7 +543,7 @@ def test_indexing_tells_integers_from_lookalike_atoms():
         assert status == "exhausted"
         assert [str(a) for a in answers] == [f"T = {tag}"]
         # Not only the answers: the index offers that one clause alone.
-        picked = p.solver_index.clauses(PredId("p", 2), first)
+        picked = p.solver_index.clauses(PredId("p", 2), first, {})
         assert [format_term(c.head.args[1]) for c in picked] == [tag]
 
 
@@ -466,7 +559,7 @@ def test_indexing_tells_compounds_apart_by_functor_and_arity():
         (Struct("g", (Const("a"),)), ["three", "any"]),
         (Const("f"), ["any"]),
     ):
-        picked = p.solver_index.clauses(PredId("q", 2), first)
+        picked = p.solver_index.clauses(PredId("q", 2), first, {})
         assert [format_term(c.head.args[1]) for c in picked] == tags
 
 

@@ -146,6 +146,28 @@ def test_deep_terms_parse_solve_and_print_without_recursion(deep):
     assert format_term(parse_term_text(deep)) == deep
 
 
+_DEEP_WRAPPERS = {"f": ("f(", ")"), "g": ("g(c, ", ")"), "list": ("[", "]"), "cons": ("[b|", "]")}
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(min_value=2000, max_value=4000),
+    st.lists(st.sampled_from(sorted(_DEEP_WRAPPERS)), min_size=1, max_size=4),
+    st.sampled_from(["a", "7", "X"]),
+)
+def test_deep_terms_parse_solve_and_print(depth, pattern, leaf):
+    wrappers = [_DEEP_WRAPPERS[w] for w in itertools.islice(itertools.cycle(pattern), depth)]
+    text = "".join(o for o, _ in wrappers) + leaf + "".join(c for _, c in reversed(wrappers))
+    program = parse_program(f"d({text}).")
+    [answer] = solve_all(program, parse_query("?- d(X)."))[0]
+    want = parse_term_text(text)
+    assert variant_of(answer.bindings["X"], want)
+    assert format_term(answer.bindings["X"]) == format_term(want).replace("X", "_A")
+    # The head meets the same deep term written in the query.
+    [answer] = solve_all(program, parse_query(f"?- d({text})."))[0]
+    assert str(answer) == ("X = _A" if leaf == "X" else "yes")
+
+
 def test_error_reports_position():
     with pytest.raises(ParseError) as e:
         parse_program("foo(a)\nbar(b).")

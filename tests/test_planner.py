@@ -1,6 +1,8 @@
 """Task encoding, the planning knowledge base, and plan search."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -304,6 +306,58 @@ def test_plan_slices_the_knowledge_base_once(monkeypatch, scene):
 
     query = [encode_task(TASK_CATALOG["grab_remote"], scene)]
     assert set(facts.index) <= reachable(build_depgraph(planning_kb(), query))
+
+
+_FRESH_VAR = re.compile(r"_#(\d+)")
+
+
+def _search_digest(scenes):
+    """sha256 over every task's call trace and plan on the scenes, and the
+    number of trace lines.  The solver's fresh variables `_#<n>` are renamed
+    in first-occurrence order within each solve (a solve's trace starts with
+    its one depth-0 call), since their raw numbers also count the variables
+    of clause heads that were tried and failed."""
+    digest = hashlib.sha256()
+    n_lines = 0
+    for scene in scenes:
+        for name in sorted(TASK_CATALOG):
+            lines = []
+            try:
+                actions = plan(scene, TASK_CATALOG[name], PlanOptions(config=SolveConfig(trace=lines.append)))
+                outcome = "None" if actions is None else " ".join(map(str, actions))
+            except UnresolvableTask as e:
+                outcome = f"unresolvable {e.type_name}"
+            names = {}
+            for line in lines:
+                if not line.startswith(" "):
+                    names = {}
+                line = _FRESH_VAR.sub(lambda m: names.setdefault(m.group(1), f"_#v{len(names)}"), line)
+                digest.update(line.encode() + b"\n")
+            digest.update(outcome.encode() + b"\n")
+            n_lines += len(lines)
+    return digest.hexdigest(), n_lines
+
+
+@pytest.mark.parametrize(
+    "scenes, want",
+    [
+        (
+            lambda: [random_scene(7, 100)],
+            ("4005fbc494004cf5f31e90815f482def846fd47326724a7accfa91c5fa054630", 863),
+        ),
+        (
+            lambda: [six_object_scene(), random_scene(1, 12), random_scene(2, 40)],
+            ("e53a9be07eff34041fc816144d2836781eb29f28297b8bb3620dd0f62d170da4", 2273),
+        ),
+    ],
+    ids=["random_7_100", "small_scenes"],
+)
+def test_search_is_unchanged(scenes, want):
+    """Plans and normalized call traces equal the recorded ones: a change to
+    how the solver picks clauses or matches terms must not change which
+    calls it makes, in what order, or the plans it finds.  A change that
+    alters the search on purpose records new digests and says why."""
+    assert _search_digest(scenes()) == want
 
 
 def test_every_task_plans_shortest_on_a_3000_object_scene():

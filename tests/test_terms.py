@@ -37,14 +37,15 @@ def _renamed(t, fresh):
 
 
 _atoms = st.sampled_from(["a", "b", "f", "i1", "walk", "close", "remotecontrol1"])
-_varnames = st.sampled_from(["X", "Y", "Z", "State"])
+_VARNAMES = ("X", "Y", "Z", "State")
 
 
-def _terms(max_depth=3):
+def _terms(names=_VARNAMES):
+    """Random terms whose variables are drawn from `names`."""
     base = st.one_of(
         _atoms.map(Const),
         st.integers(min_value=-9, max_value=9).map(Const),
-        _varnames.map(Var),
+        *([st.sampled_from(names).map(Var)] if names else []),
     )
     return st.recursive(
         base,
@@ -332,11 +333,56 @@ def test_variant_key_resolves_bindings(t1, t2):
         assert variant_key(t1, s) == variant_key(apply_subst(s, t1))
 
 
+@st.composite
+def _acyclic_bindings(draw):
+    """Bindings of some of the variables, each to a term over the variables
+    after it, so that resolving them ends."""
+    bindings = {}
+    for i, name in enumerate(_VARNAMES):
+        if draw(st.booleans()):
+            bindings[name] = draw(_terms(_VARNAMES[i + 1 :]))
+    return bindings
+
+
+@settings(max_examples=300)
+@given(_terms(), _acyclic_bindings())
+@example(Struct("f", (Var("X"), Struct("g", (Var("Y"),)))), {"X": Var("Y"), "Y": Const("a")})
+def test_variant_key_reads_bindings_as_the_resolved_term(t, bindings):
+    assert variant_key(t, bindings) == variant_key(apply_subst(bindings, t))
+
+
 @settings(max_examples=80)
 @given(_terms(), _terms())
 @example(Const("i1"), Const(1))
 def test_variant_agrees_with_key(t1, t2):
     assert variant_of(t1, t2) == (variant_key(t1) == variant_key(t2))
+
+
+def _variants_by_renaming(t1, t2):
+    """Reference: walk both terms together, building a bijection of variables."""
+    fwd, bwd = {}, {}
+    stack = [(t1, t2)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is Var and type(b) is Var:
+            if fwd.setdefault(a.name, b.name) != b.name or bwd.setdefault(b.name, a.name) != a.name:
+                return False
+        elif type(a) is Struct and type(b) is Struct:
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            stack.extend(zip(a.args, b.args))
+        elif type(a) is not Const or type(b) is not Const or a.value != b.value:
+            return False
+    return True
+
+
+@settings(max_examples=200)
+@given(_terms(), _terms())
+@example(Struct("f", (Var("X"), Var("Y"))), Struct("f", (Var("Y"), Var("Y"))))
+@example(Struct("f", (Const(1),)), Struct("f", (Const("1"),)))
+def test_variant_key_agrees_with_a_renaming_walk(t1, t2):
+    for other in (t2, _renamed(t1, itertools.count(900)), _rebuild(t1, Const("a"))):
+        assert (variant_key(t1) == variant_key(other)) == _variants_by_renaming(t1, other)
 
 
 # -- deep terms -------------------------------------------------------------------
@@ -366,3 +412,22 @@ def test_walks_over_a_long_list_do_not_recurse():
     assert variant_of(open_list, renamed) and not variant_of(open_list, ground)
     assert variant_key(open_list) == variant_key(renamed)
     assert variant_key(open_list) != variant_key(ground)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=2000, max_value=4000), st.sampled_from(["f", "."]))
+def test_deep_ground_terms_hash_and_compare_on_demand(depth, functor):
+    def build(leaf):
+        t = leaf
+        for i in range(depth):
+            t = Struct(".", (Const(i % 3), t)) if functor == "." else Struct("f", (t,))
+        return t
+
+    a, b, other = build(Const("a")), build(Const("a")), build(Const("b"))
+    assert a.ground and a._hash is None  # nothing is hashed when it is built
+    assert a == b and a != other
+    assert hash(a) == hash(b)
+    assert b in {a} and other not in {a}
+    assert {a: 1}.get(build(Const("a"))) == 1
+    assert variant_key(build(Var("X")), {"X": Const("a")}) == variant_key(a)
+
