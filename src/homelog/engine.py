@@ -28,6 +28,7 @@ two raised out of the generator, never silently swallowed).
 
 from __future__ import annotations
 
+import copy
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -121,11 +122,7 @@ _INSERT_SORTED = PredId("insert_sorted", 3)
 _MEMBER = PredId("member", 2)
 
 # Predicates the solver provides when the program does not define them.
-PRELUDE_PREDS: Tuple[PredId, ...] = (
-    _MEMBER,
-    PredId("subset", 2),
-    _INSERT_SORTED,
-)
+PRELUDE_PREDS: Tuple[PredId, ...] = (*PRELUDE.index, _INSERT_SORTED)
 
 
 def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
@@ -297,11 +294,11 @@ def layer_facts(kb: Program, facts: Program) -> Program:
     """`kb + facts`, solved over kb's own index with the facts' predicates
     layered on top: kb is indexed once, however many fact programs meet it.
 
-    Facts add no call-graph edge, so the layered index shares kb's cyclic
-    set, and it copies kb's lookup and tables (a few dozen entries) rather
-    than deriving them from every clause.  Raises ValueError when `facts`
-    holds a rule, or defines a predicate that kb, the prelude or the solver
-    already provides.
+    Facts add no call-graph edge, so the layered index is a copy of kb's
+    that shares its cyclic set; only its lookup and tables (a few dozen
+    entries) are copied again, not derived from every clause.  Raises
+    ValueError when `facts` holds a rule, or defines a predicate that kb,
+    the prelude or the solver already provides.
     """
     if any(c.body for c in facts.clauses):
         raise ValueError("only facts can be layered on a program's index")
@@ -310,12 +307,9 @@ def layer_facts(kb: Program, facts: Program) -> Program:
     if clash:
         names = ", ".join(map(str, clash))
         raise ValueError(f"facts define {names}, which the program already provides")
-    index = _ProgramIndex.__new__(_ProgramIndex)
+    index = copy.copy(base)
     index.lookup = {**base.lookup, **facts.index}
-    index.cyclic = base.cyclic
     index.tables = dict(base.tables)
-    index.native_insert = base.native_insert
-    index.native_member = base.native_member
     program = kb + facts
     program.solver_index = index
     return program

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Tuple
 
@@ -13,7 +14,6 @@ __all__ = [
     "Literal",
     "Clause",
     "Program",
-    "ground_facts",
     "pred_of",
     "format_literal",
     "format_clause",
@@ -70,81 +70,66 @@ class Literal:
         object.__setattr__(self, "is_builtin", builtin)
 
 
-@dataclass(frozen=True, slots=True)
+@functools.lru_cache(maxsize=1024)
+def _pred_id(name: str, arity: int) -> PredId:
+    """One `PredId` per predicate, shared by the clauses that define it.
+    A 400-object scene has some 1,100 facts over eight predicates, and a
+    fresh `PredId` costs about as much as the fact's `Struct` head."""
+    return PredId(name, arity)
+
+
 class Clause:
     """head :- body.  A fact is a clause with an empty body.
 
-    `code` is the clause compiled once, when it is built, for the solver:
-    (number of variable slots, the head's argument templates, the head's
-    postfix code, the body atoms' postfix code); see
-    `terms.compile_template`.  A fact with a ground head compiles to its
-    own arguments without a walk.
+    A clause is a value: equality and hashing read `head` and `body`
+    only.  `head_pred` and `code` are derived once, when it is built.
+    `code` is the clause compiled for the solver: (number of variable
+    slots, the head's argument templates, the head's postfix code, the
+    body atoms' postfix code); see `terms.compile_template`.  A fact with
+    a ground head compiles to its own arguments without a walk.
     """
 
-    head: Term
-    body: Tuple[Literal, ...] = ()
-    head_pred: PredId = field(init=False, compare=False, repr=False)
-    code: tuple = field(init=False, compare=False, repr=False)
+    __slots__ = ("head", "body", "head_pred", "code")
 
-    def __post_init__(self) -> None:
-        hp = pred_of(self.head)  # raises on non-atoms
-        if hp.name in BUILTIN_FUNCTORS and hp.arity == 2:
-            raise ValueError(f"cannot define builtin {hp}")
-        object.__setattr__(self, "head_pred", hp)
-        object.__setattr__(self, "code", _compile_clause(self.head, self.body))
+    def __init__(self, head: Term, body: Tuple[Literal, ...] = ()):
+        if type(head) is Struct:
+            args = head.args
+            pred = _pred_id(head.functor, len(args))
+        else:
+            args = ()
+            pred = pred_of(head)  # raises on non-atoms
+        if pred.name in BUILTIN_FUNCTORS and pred.arity == 2:
+            raise ValueError(f"cannot define builtin {pred}")
+        self.head = head
+        self.body = body
+        self.head_pred = pred
+        if not body and (not args or head.ground):
+            self.code = (0, args, (), ())
+            return
+        slots: Dict[str, int] = {}
+        head_code: List[object] = []
+        template = compile_template(head, slots, head_code)
+        body_code: List[object] = []
+        for lit in body:
+            compile_template(lit.atom, slots, body_code)
+        if type(template) is tuple:  # a head with variables
+            args = template[1]
+        self.code = (len(slots), args, tuple(head_code), tuple(body_code))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Clause:
+            return NotImplemented
+        return self.head == other.head and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.head, self.body))
+
+    def __repr__(self) -> str:
+        return f"Clause(head={self.head!r}, body={self.body!r})"
 
     @property
     def is_fact(self) -> bool:
         return not self.body
-
-
-_CLAUSE_SETTERS = tuple(Clause.__dict__[f].__set__ for f in ("head", "body", "head_pred", "code"))
-
-
-def ground_facts(rows: Iterable[Tuple[str, Tuple[Term, ...]]]) -> List[Clause]:
-    """The fact name(*args) for each (name, args) row of ground arguments.
-
-    Each equals `Clause(Struct(name, args))`, with the same `head_pred` and
-    `code`.  Only a predicate's first fact goes through that constructor,
-    which refuses a builtin head; the rest skip the dataclass `__init__`
-    and `__post_init__`, reuse its predicate and compile to their own
-    arguments.  A row with a variable raises ValueError.
-    """
-    set_head, set_body, set_pred, set_code = _CLAUSE_SETTERS
-    new = object.__new__
-    preds: Dict[str, PredId] = {}
-    facts: List[Clause] = []
-    for name, args in rows:
-        head = Struct(name, args)
-        if not head.ground:
-            raise ValueError(f"not a ground fact: {format_term(head)}")
-        pred = preds.get(name)
-        if pred is None or pred.arity != len(args):
-            fact = Clause(head)
-            preds[name] = fact.head_pred
-        else:
-            fact = new(Clause)
-            set_head(fact, head)
-            set_body(fact, ())
-            set_pred(fact, pred)
-            set_code(fact, (0, args, (), ()))
-        facts.append(fact)
-    return facts
-
-
-def _compile_clause(head: Term, body: Tuple[Literal, ...]) -> tuple:
-    args = head.args if type(head) is Struct else ()
-    if not body and (not args or head.ground):
-        return (0, args, (), ())
-    slots: Dict[str, int] = {}
-    head_code: List[object] = []
-    template = compile_template(head, slots, head_code)
-    body_code: List[object] = []
-    for lit in body:
-        compile_template(lit.atom, slots, body_code)
-    if type(template) is tuple:  # a head with variables
-        args = template[1]
-    return (len(slots), args, tuple(head_code), tuple(body_code))
 
 
 class Program:
@@ -153,9 +138,9 @@ class Program:
     The index is an exact partition of the clauses; both views preserve
     source order.  `solver_index` caches what the solver derives from the
     clauses (see `engine._ProgramIndex`).  It is filled on the first solve,
-    except in a program made by `engine.layer_facts`: there it is the
-    knowledge base's own index, built once per knowledge-base object, with
-    the facts' predicates layered on top.
+    except in a program made by `engine.layer_facts`: there it is a copy
+    of the knowledge base's own index, which is built once per
+    knowledge-base object, with the facts' predicates added to its lookup.
     """
 
     __slots__ = ("clauses", "index", "solver_index")

@@ -73,10 +73,6 @@ class Struct:
                 return
         self.ground = True
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def __repr__(self) -> str:
         return f"Struct({self.functor}/{len(self.args)})"
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .program import Program, ground_facts
+from .program import Clause, Program
 from .terms import Const, Struct, Term, format_term, make_list
 
 __all__ = [
@@ -312,13 +312,13 @@ def state_to_facts(state: WorldState) -> Program:
         return c
 
     objs = [(const(obj_id), objects[obj_id]) for obj_id in order]
-    rows = [("type", (i, const(o.type))) for i, o in objs]
-    rows += [("inside", (i, const(o.room))) for i, o in objs]
-    rows += [("on" if o.powered == "on" else "off", (i,)) for i, o in objs if o.switchable]
-    rows += [("grabbable", (i,)) for i, o in objs if o.grabbable]
-    rows += [("sittable", (i,)) for i, o in objs if o.sittable]
-    rows.append(("close_to_character", (make_list(fluent_list(state)),)))
-    return Program(ground_facts(rows))
+    facts = [Clause(Struct("type", (i, const(o.type)))) for i, o in objs]
+    facts += [Clause(Struct("inside", (i, const(o.room)))) for i, o in objs]
+    facts += [Clause(Struct("on" if o.powered == "on" else "off", (i,))) for i, o in objs if o.switchable]
+    facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
+    facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
+    facts.append(Clause(Struct("close_to_character", (make_list(fluent_list(state)),))))
+    return Program(facts)
 
 
 # -- scene documents -----------------------------------------------------------

@@ -1,6 +1,9 @@
 """End-to-end CLI behaviour through cli_main, including exit codes."""
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,8 @@ from homelog.parser import parse_program
 from homelog.program import PredId
 from homelog.scenes import SIX_OBJECT_SCENE_JSON
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.fixture
@@ -284,3 +288,20 @@ def test_internal_error_has_its_own_exit_code(family_file, monkeypatch, capsys):
     assert cli_main(["parse", family_file]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+def _run_module(*args):
+    """`python -m homelog ARGS` in a fresh interpreter, importing from src/."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "homelog", *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_module_entry_point_plans_and_exits_with_cli_codes(tmp_path):
+    done = _run_module("plan", "--scene", "random:7:100", "--task", "grab_remote_and_shirt")
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-1] == "GOAL SATISFIED"
+    missing = _run_module("parse", str(tmp_path / "missing.pl"))
+    assert missing.returncode == EXIT_USAGE

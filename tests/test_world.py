@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_state_action_pairs, state_key
 from homelog.parser import parse_program
-from homelog.program import Clause, PredId, format_program, ground_facts
+from homelog.program import Clause, Literal, PredId, format_program
 from homelog.scenes import minimal_scene
 from homelog.terms import Const, Struct, Var, format_term
 from homelog.world import (
@@ -399,21 +399,29 @@ def test_state_to_facts_shares_one_const_per_name():
 
 @pytest.mark.parametrize("functor", ["=", "\\="])
 def test_a_fact_cannot_define_a_builtin(functor):
-    args = (Const("a"), Const("b"))
     with pytest.raises(ValueError, match="builtin"):
-        Clause(Struct(functor, args))
-    with pytest.raises(ValueError, match="builtin"):
-        ground_facts([("p", (Const("a"),)), (functor, args)])
+        Clause(Struct(functor, (Const("a"), Const("b"))))
 
 
-def test_ground_facts_refuse_a_variable():
-    with pytest.raises(ValueError, match="not a ground fact"):
-        ground_facts([("p", (Const("a"), Var("X")))])
-
-
-def test_ground_facts_keep_one_predicate_per_arity():
-    a, b = ground_facts([("p", (Const("a"),)), ("p", (Const("a"), Const("b")))])
+def test_clauses_keep_one_predicate_per_arity():
+    a, b = Clause(Struct("p", (Const("a"),))), Clause(Struct("p", (Const("a"), Const("b"))))
     assert (a.head_pred, b.head_pred) == (PredId("p", 1), PredId("p", 2))
+
+
+def test_a_clause_is_a_value_of_its_head_and_body():
+    head = Struct("p", (Var("X"),))
+    body = (Literal(Struct("q", (Var("X"),))),)
+    a, b = Clause(head, body), Clause(Struct("p", (Var("X"),)), (Literal(Struct("q", (Var("X"),))),))
+    assert a is not b and a == b and hash(a) == hash(b)
+    # The derived fields take no part in equality or hashing.
+    b.code = ()
+    b.head_pred = PredId("other", 9)
+    assert a == b and hash(a) == hash(b)
+    assert a != Clause(head) and a != Clause(Struct("p", (Var("Y"),)), body)
+    assert a.__eq__(head) is NotImplemented
+    assert len({a, b, Clause(head), Clause(Struct("p", (Var("X"),)))}) == 2
+    assert repr(Clause(head)) == "Clause(head=Struct(p/1), body=())"
+    assert repr(a) == f"Clause(head=Struct(p/1), body={body!r})"
 
 
 # -- random scenes ------------------------------------------------------------------------
