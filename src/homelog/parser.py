@@ -60,6 +60,7 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
         if ch == "%":
             while i < n and text[i] != "\n":
                 i += 1
+                col += 1
             continue
         two = text[i : i + 2]
         if two in _PUNCT_TWO:
@@ -72,9 +73,9 @@ def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append((_INT, text[i:j], line, col))
             col += j - i

@@ -182,11 +182,11 @@ legal_action(grab(X), State) :-
     not sitting(State).
 legal_action(switchon(X), State) :-
     member(close(X), State),
-    device(X),
+    switchable(X),
     not member(on(X), State).
 legal_action(switchoff(X), State) :-
     member(close(X), State),
-    device(X),
+    switchable(X),
     member(on(X), State).
 legal_action(sit(X), State) :-
     member(close(X), State),
@@ -194,15 +194,12 @@ legal_action(sit(X), State) :-
     not sitting(State).
 legal_action(standup, State) :- sitting(State).
 legal_action(walk(X), State) :-
-    inside(X, _),
-    type(X, Y), Y \\= character,
+    type(X, _),
     not member(close(X), State).
 
 sitting(State) :- member(sitting_on(_), State).
 hands_full(State) :-
     member(holds(X), State), member(holds(Y), State), X \\= Y.
-device(X) :- on(X).
-device(X) :- off(X).
 
 % effects: successor fluent lists stay sorted and duplicate-free
 update(walk(X), State, State2) :-

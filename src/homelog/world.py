@@ -296,11 +296,12 @@ def fluent_list(state: WorldState) -> List[Term]:
 
 
 def state_to_facts(state: WorldState) -> Program:
-    """The state as facts: object typing and placement, device state,
-    object properties, and one close_to_character/1 fact holding the
-    canonical fluent list.  Rooms and the agent get no facts of their
-    own: no plan reads them.  Each object id, type and room becomes one
-    `Const`, shared by every fact that names it."""
+    """The state as the facts the planning knowledge base reads: each
+    object's type/2, the switchable/1, grabbable/1 and sittable/1 flags,
+    and one close_to_character/1 fact holding the canonical fluent list,
+    where a device's power state lives as on/1.  Rooms, placement and the
+    agent get no facts: no plan reads them.  Each object id and type
+    becomes one `Const`, shared by every fact that names it."""
     objects = state.objects
     order = sorted(objects)
     consts: Dict[str, Const] = {}
@@ -313,8 +314,7 @@ def state_to_facts(state: WorldState) -> Program:
 
     objs = [(const(obj_id), objects[obj_id]) for obj_id in order]
     facts = [Clause(Struct("type", (i, const(o.type)))) for i, o in objs]
-    facts += [Clause(Struct("inside", (i, const(o.room)))) for i, o in objs]
-    facts += [Clause(Struct("on" if o.powered == "on" else "off", (i,))) for i, o in objs if o.switchable]
+    facts += [Clause(Struct("switchable", (i,))) for i, o in objs if o.switchable]
     facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
     facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
     facts.append(Clause(Struct("close_to_character", (make_list(fluent_list(state)),))))

@@ -59,6 +59,13 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_a_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "digit.pl"
+    bad.write_text("p(\u00b2).\n", encoding="utf-8")
+    assert cli_main(["parse", str(bad)]) == EXIT_PARSE
+    assert "line 1, column 3: unexpected character" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert cli_main(["parse", "/nonexistent/nowhere.pl"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err

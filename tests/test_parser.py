@@ -175,6 +175,20 @@ def test_error_reports_position():
     assert e.value.column >= 1
 
 
+def test_only_decimal_digits_make_an_integer():
+    with pytest.raises(ParseError) as e:
+        parse_program("p(\u00b2).")  # superscript two: a digit, but not a decimal one
+    assert (e.value.message, e.value.line, e.value.column) == ("unexpected character '\u00b2'", 1, 3)
+    assert parse_program("p(\u0663).").clauses[0].head.args == (Const(3),)  # Arabic-Indic three
+
+
+@pytest.mark.parametrize("text, column", [("p(a) % x", 9), ("p(a)   ", 8)])
+def test_end_of_input_is_reported_after_a_trailing_comment(text, column):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.message, e.value.line, e.value.column) == ("got end of input", 1, column)
+
+
 def test_parse_query():
     goals = parse_query("?- niece(X, Y).")
     assert goals == [Literal(Struct("niece", (Var("X"), Var("Y"))))]

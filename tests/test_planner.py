@@ -8,7 +8,7 @@ import pytest
 
 from conftest import bfs_plan_length
 from homelog import planner
-from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve
+from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve, solve_all
 from homelog.planner import (
     BENCH_TASK_NAMES,
     DOMAIN_KB_TEXT,
@@ -24,14 +24,16 @@ from homelog.planner import (
     plan,
     planning_kb,
 )
-from homelog.program import PredId
+from homelog.program import Literal, PredId
 from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
 from homelog.scenes import minimal_scene, six_object_scene
 from homelog.terms import Const, Struct, Var, format_term, make_list, variant_key
 from homelog.world import (
     IllegalAction,
+    action_term,
     fluent_list,
     grab,
+    legal,
     load_scene,
     random_scene,
     sit,
@@ -75,7 +77,7 @@ def test_kb_defines_the_expected_predicates():
         ("initial_state", 1), ("transform", 2), ("transform", 4),
         ("choose_action", 3), ("suggest", 2), ("legal_action", 2),
         ("update", 3), ("update_walking", 3), ("remove_fluent", 3),
-        ("complete_task", 2), ("sitting", 1), ("hands_full", 1), ("device", 1),
+        ("complete_task", 2), ("sitting", 1), ("hands_full", 1),
     ]:
         assert kb.defines(PredId(name, arity)), f"{name}/{arity}"
 
@@ -94,6 +96,21 @@ def test_kb_has_legality_and_effect_rules_for_every_action():
     expected = {"walk", "grab", "switchon", "switchoff", "sit", "standup"}
     assert legality == expected
     assert effects == expected
+
+
+def test_kb_walks_to_an_object_of_type_character_as_the_simulator_does():
+    """An object's type is only a name: one typed `character` is walked to
+    like any other object, by the simulator and by the knowledge base."""
+    scene = load_scene(json.dumps({
+        "rooms": [{"id": "livingroom1", "type": "livingroom"}],
+        "objects": [{"id": "character1", "type": "character", "room": "livingroom1"}],
+        "agent": {"room": "livingroom1"},
+    }))
+    action = walk("character1")
+    assert legal(scene, action) == (True, "")
+    goal = Literal(Struct("legal_action", (action_term(action), make_list(fluent_list(scene)))))
+    answers, status = solve_all(domain_kb() + state_to_facts(scene), [goal])
+    assert (len(answers), status) == (1, "exhausted")
 
 
 def test_kb_suggests_walking_for_every_closeness_prerequisite():
@@ -343,11 +360,11 @@ def _search_digest(scenes):
     [
         (
             lambda: [random_scene(7, 100)],
-            ("4005fbc494004cf5f31e90815f482def846fd47326724a7accfa91c5fa054630", 863),
+            ("b70c8962bffb3d794d3dd4d61b7bf48d015830b63a4a7c58c4065105d7e512e7", 832),
         ),
         (
             lambda: [six_object_scene(), random_scene(1, 12), random_scene(2, 40)],
-            ("e53a9be07eff34041fc816144d2836781eb29f28297b8bb3620dd0f62d170da4", 2273),
+            ("7faa3b28836f1fb8dbb779562f29d1d631111b2984293c61efaac19d854a7632", 2180),
         ),
     ],
     ids=["random_7_100", "small_scenes"],

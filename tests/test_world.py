@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 
 import pytest
 
@@ -346,19 +347,20 @@ def test_state_to_facts_contents(six_scene):
     program = state_to_facts(six_scene)
     text = format_program(program)
     assert "type(remotecontrol1, remotecontrol)." in text
-    assert "inside(remotecontrol1, livingroom100)." in text
-    assert "inside(shirt1, bedroom101)." in text
     # no plan reads the rooms' types or the agent's own facts
     assert "type(livingroom100, livingroom)." not in text
     assert "type(character0, character)." not in text
-    assert "inside(character0, livingroom100)." not in text
-    assert "on(tv1)." in text
-    assert "off(lamp1)." in text
-    assert "off(remotecontrol1)." in text
+    # devices are switchable whether on or off; power state is a fluent
+    for device in ("cellphone1", "lamp1", "remotecontrol1", "tv1"):
+        assert f"switchable({device})." in text
+    assert "switchable(shirt1)." not in text
     assert "grabbable(shirt1)." in text
     assert "sittable(couch1)." in text
     assert "close_to_character([on(tv1)])." in text
-    assert not program.defines(PredId("on", 2))  # no timestamped variants
+    assert {c.head_pred for c in program} == {
+        PredId("type", 2), PredId("switchable", 1), PredId("grabbable", 1),
+        PredId("sittable", 1), PredId("close_to_character", 1),
+    }
 
 
 def test_state_to_facts_tracks_the_current_fluents(six_scene):
@@ -460,7 +462,14 @@ def test_large_scene_translates_quickly():
     program = state_to_facts(s)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    assert len(program) > 1000  # every clause is a fact
+    assert all(c.is_fact for c in program)
+    assert Counter(c.head_pred for c in program) == {
+        PredId("type", 2): 500,
+        PredId("switchable", 1): 130,
+        PredId("grabbable", 1): 214,
+        PredId("sittable", 1): 93,
+        PredId("close_to_character", 1): 1,
+    }
 
 
 def test_random_walks_preserve_state_invariants():
