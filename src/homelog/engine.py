@@ -360,8 +360,8 @@ class _Solver:
     def run(self) -> Iterator[Answer]:
         # Goal stack nodes are (atom, literal, ancestors, depth, next): the
         # atom to solve and the literal it was built from, which carries its
-        # predicate and flags.  Ancestors is a linked list of (pred,
-        # variant-key, parent) frames.  A negation's proof marker is a node
+        # predicate and flags.  Ancestors links the (loop-check key, parent)
+        # frames of keyed calls.  A negation's proof marker is a node
         # whose literal is the negated one and whose atom is the index of
         # the negation's barrier in the choice-point stack.
         cur = None
@@ -451,7 +451,7 @@ class _Solver:
         key = None
         if cell is None and cfg.loop_check and pred in idx.cyclic:
             key = variant_key(atom, self.bindings)
-            if self._seen_on_path(anc, pred, key):
+            if self._seen_on_path(anc, key):
                 self._step()
                 return None
         if cfg.trace is not None:
@@ -494,7 +494,7 @@ class _Solver:
                 continue
             out = nxt
             if body_code:
-                up = (lit.pred, key, anc)
+                up = anc if key is None else (key, anc)
                 atoms = rename_apart_term(body_code, frame, self.fresh)
                 body = clause.body
                 for i in range(len(atoms) - 1, -1, -1):
@@ -563,11 +563,11 @@ class _Solver:
         """Native member(X, L): unify X with the head of the next list cell.
 
         The rest of the list is resolved only after the trail is undone, so
-        bindings made for one element never steer the walk.  When X resolves
-        to a ground term, a ground cell is compared with it by its cached
-        hash and then `==`; other cells unify.  An unbound tail is the last
-        alternative: a member/2 call of its own, on the prelude clauses, at
-        the same depth and with the same ancestors.
+        bindings made for one element never steer the walk.  A ground X is
+        compared with a ground cell by hash and then `==`, a cell whose head
+        keys apart from X (`_arg_key`) is skipped, and other cells unify.  An
+        unbound tail is the last alternative: a member/2 call of its own, on
+        the prelude clauses, at the same depth and with the same ancestors.
         """
         node, _, _, mark, _ = cp
         atom, lit, anc, depth, nxt = node
@@ -575,6 +575,7 @@ class _Solver:
         x = _walk(atom.args[0], self.bindings)
         ground = type(x) is Const or (type(x) is Struct and x.ground)
         hx = hash(x) if ground else None
+        xkey = None if type(x) is Var else _arg_key(x)
         while True:
             undo_trail(self.bindings, self.trail, mark)
             rest = _walk(cp[1], self.bindings)
@@ -585,6 +586,8 @@ class _Solver:
             if ground and (type(head) is Const or (type(head) is Struct and head.ground)):
                 if hash(head) == hx and head == x:
                     return nxt
+            elif xkey is not None and type(head) is not Var and _arg_key(head) != xkey:
+                continue  # a constant or another functor cannot match
             elif unify_in_place(x, head, self.bindings, self.trail):
                 return nxt
         cp[1] = EMPTY_LIST
@@ -592,11 +595,11 @@ class _Solver:
             return (Struct(_MEMBER.name, (x, rest)), lit, anc, depth, nxt)
         return _FAILED
 
-    def _seen_on_path(self, anc, pred: PredId, key: Tuple[int, tuple]) -> bool:
+    def _seen_on_path(self, anc, key: Tuple[int, tuple]) -> bool:
         while anc is not None:
-            apred, akey, anc = anc
-            # The key leads with its hash, so most frames fail one int compare.
-            if akey == key and apred == pred:
+            akey, anc = anc
+            # A key names its predicate and leads with its hash, so most frames fail one int compare.
+            if akey == key:
                 return True
         return False
 

@@ -99,7 +99,7 @@ class PlanOptions:
 # lists; update rules keep them that way so `not member(State, Visited)`
 # is a sound visited-set test.  within_reach/3 is an admissible lower
 # bound on the number of actions still needed, expressed structurally
-# (one `s` marker per needed action) so no arithmetic is required; it
+# (one plan slot per needed action) so no arithmetic is required; it
 # prunes branches whose remaining action slots cannot possibly suffice,
 # which is what makes bounded-depth search tractable in large scenes.
 DOMAIN_KB_TEXT = """\
@@ -119,11 +119,10 @@ transform(State1, State2, Visited, [Action|Actions]) :-
     not member(State, Visited),
     transform(State, State2, [State|Visited], Actions).
 
-% lower bound on the actions still needed, as a list of s markers
+% lower bound on the actions still needed: one plan slot per action
 within_reach(State1, State2, Plan) :-
     missing_goals(State2, State1, Missing),
-    needed_steps(Missing, State1, Steps),
-    fits_in(Steps, Plan).
+    needed_steps(Missing, State1, Plan).
 
 missing_goals([], _, []).
 missing_goals([G|Gs], State, Missing) :-
@@ -133,30 +132,27 @@ missing_goals([G|Gs], State, [G|Missing]) :-
     not member(G, State),
     missing_goals(Gs, State, Missing).
 
-needed_steps([], _, []).
-needed_steps([close(_)|Gs], State, [s|Steps]) :-
-    needed_steps(Gs, State, Steps).
-needed_steps([holds(X)|Gs], State, [s|Steps]) :-
+needed_steps([], _, _).
+needed_steps([close(_)|Gs], State, [_|Actions]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([holds(X)|Gs], State, [_|Actions]) :-
     member(close(X), State),
-    needed_steps(Gs, State, Steps).
-needed_steps([holds(X)|Gs], State, [s,s|Steps]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([holds(X)|Gs], State, [_,_|Actions]) :-
     not member(close(X), State),
-    needed_steps(Gs, State, Steps).
-needed_steps([on(X)|Gs], State, [s|Steps]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([on(X)|Gs], State, [_|Actions]) :-
     member(close(X), State),
-    needed_steps(Gs, State, Steps).
-needed_steps([on(X)|Gs], State, [s,s|Steps]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([on(X)|Gs], State, [_,_|Actions]) :-
     not member(close(X), State),
-    needed_steps(Gs, State, Steps).
-needed_steps([sitting_on(X)|Gs], State, [s|Steps]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([sitting_on(X)|Gs], State, [_|Actions]) :-
     member(close(X), State),
-    needed_steps(Gs, State, Steps).
-needed_steps([sitting_on(X)|Gs], State, [s,s|Steps]) :-
+    needed_steps(Gs, State, Actions).
+needed_steps([sitting_on(X)|Gs], State, [_,_|Actions]) :-
     not member(close(X), State),
-    needed_steps(Gs, State, Steps).
-
-fits_in([], _).
-fits_in([s|Steps], [_|Actions]) :- fits_in(Steps, Actions).
+    needed_steps(Gs, State, Actions).
 
 % action choice: goal-directed suggestions first, then any legal action
 choose_action(Action, State1, State2) :-

@@ -1,4 +1,4 @@
-"""Ready-made scene documents used by the docs, the CLI and the tests."""
+"""Ready-made scene documents, the minimal and the six-object one, for the docs and the tests."""
 
 from __future__ import annotations
 

@@ -366,7 +366,7 @@ def load_scene(text: str) -> WorldState:
         if obj_id in objects or obj_id in rooms or obj_id == AGENT_ID:
             raise SchemaError(f"duplicate id {obj_id}")
         obj_type = _ident(entry["type"], "object type")
-        room = entry["room"]
+        room = _ident(entry["room"], "object room")
         if room not in rooms:
             raise SchemaError(f"object {obj_id} references unknown room {room!r}")
         defaults = OBJECT_TYPES.get(obj_type, (False, False, False))
@@ -386,7 +386,7 @@ def load_scene(text: str) -> WorldState:
     _check_keys(agent_doc, _AGENT_KEYS, {"room"}, "agent")
     close = frozenset(_as_str_list(agent_doc.get("close", []), "agent.close"))
     held = frozenset(_as_str_list(agent_doc.get("held", []), "agent.held"))
-    agent = AgentState(room=agent_doc["room"], close=close, held=held, sitting_on=None)
+    agent = AgentState(room=_ident(agent_doc["room"], "agent room"), close=close, held=held, sitting_on=None)
     state = WorldState(rooms, objects, agent, step=0)
     validate_state(state)
     return state

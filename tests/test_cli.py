@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through cli_main, including exit codes."""
 
+import json
 import os
 import shlex
 import subprocess
@@ -238,6 +239,20 @@ def test_plan_schema_error(tmp_path, capsys):
     bad.write_text('{"rooms": []}', encoding="utf-8")
     assert cli_main(["plan", "--scene", str(bad), "--task", "grab_remote"]) == EXIT_PARSE
     assert "scene error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, room",
+    [("object", ["livingroom100"]), ("agent", {"id": "livingroom100"})],
+)
+def test_plan_rejects_a_room_that_is_not_a_string(tmp_path, capsys, where, room):
+    doc = json.loads(SIX_OBJECT_SCENE_JSON)
+    (doc["objects"][0] if where == "object" else doc["agent"])["room"] = room
+    bad = tmp_path / "scene.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli_main(["plan", "--scene", str(bad), "--task", "grab_remote"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "scene error" in err and f"{where} room" in err
 
 
 def test_plan_has_no_prune_switch(capsys):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_program
+import homelog.engine as engine
 from homelog.engine import (
     BudgetExceeded,
     FlounderError,
@@ -225,7 +226,6 @@ def test_head_matching_agrees_with_copy_then_unify(args):
 def test_cyclic_predicates_of_the_planning_program():
     program = planning_kb() + state_to_facts(six_object_scene())
     want = {
-        PredId("fits_in", 2),
         PredId("member", 2),
         PredId("missing_goals", 3),
         PredId("needed_steps", 3),
@@ -630,6 +630,35 @@ def test_member_resolves_the_tail_before_each_element():
         answers, status = solve_all(program, parse_query(query), SolveConfig(step_budget=300))
         assert [str(a) for a in answers] == ["T = a"]
         assert status == "budget_exceeded"
+
+
+def test_member_skips_cells_whose_head_cannot_match(monkeypatch):
+    # A cell whose head is a constant, or a compound of another functor or
+    # arity, fails without a unification, but still costs its one step.
+    calls = []
+    real = engine.unify_in_place
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "unify_in_place", counted)
+    p = parse_program("seed(none).")
+    query = parse_query("?- member(holds(X), [close(a), on(b), holds(c), holds(d)]).")
+    solver = engine._Solver(p, query, SolveConfig())
+    assert [str(a) for a in solver.run()] == ["X = c", "X = d"]
+    assert len(calls) == 2
+    assert solver.steps == 4
+    # A variable cell, a bound-variable cell and a non-ground cell of the
+    # same functor still unify; `=` makes the first call.
+    calls.clear()
+    query = "?- Y = holds(e), member(holds(X), [close(a), Y, holds, V, h(g), holds(f(W))])."
+    assert [str(a) for a in answers_for(p, query)] == [
+        "Y = holds(e), X = e, V = _A, W = _B",
+        "Y = holds(e), X = _A, V = holds(_A), W = _B",
+        "Y = holds(e), X = f(_A), V = _B, W = _A",
+    ]
+    assert len(calls) == 4
 
 
 # -- negation as failure -----------------------------------------------------------

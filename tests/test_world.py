@@ -122,6 +122,10 @@ def test_scene_round_trips_through_dict(six_scene):
         (lambda d: d["agent"].update(close=["unicorn1"]), "unknown object"),
         (lambda d: d["agent"].update(held=["tv1"]), "held objects must be close"),
         (lambda d: d["agent"].update(room="attic9"), "not a room"),
+        (lambda d: d["objects"].append({"id": "vase1", "type": "vase", "room": ["livingroom100"]}),
+         "object room must be a lowercase identifier"),
+        (lambda d: d["agent"].update(room={"id": "livingroom100"}),
+         "agent room must be a lowercase identifier"),
     ],
 )
 def test_bad_scenes_are_rejected(six_scene, mutate, message):
