@@ -11,10 +11,13 @@ is built from that frame only once the head matches.
 
 A positive call that is a variant of an ancestor call on the current
 derivation path fails (loop check), which makes the kind of left
-recursion found in family-tree rule sets terminate.  Negation as failure
-runs the positive atom one level deeper on the same stacks, behind a
-barrier choice point, under the solve's one step budget and depth cap;
-non-ground negated calls flounder loudly.
+recursion found in family-tree rule sets terminate.  Only a call on a
+cycle of the call graph is checked, and not even that when its argument
+at its component's descent position is ground: such a call only ever
+descends to smaller terms there (see `_descent_positions`).  Negation as
+failure runs the positive atom one level deeper on the same stacks,
+behind a barrier choice point, under the solve's one step budget and
+depth cap; non-ground negated calls flounder loudly.
 
 Unless the program defines them, `insert_sorted/3` is native and
 `member/2` walks a list's cells in one choice point: one step per cell,
@@ -32,7 +35,7 @@ import copy
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
 from .program import Clause, Literal, PredId, Program
@@ -44,6 +47,7 @@ from .terms import (
     Subst,
     Term,
     Var,
+    _ground,
     _occurs,
     _walk,
     apply_subst,
@@ -125,11 +129,13 @@ _MEMBER = PredId("member", 2)
 PRELUDE_PREDS: Tuple[PredId, ...] = (*PRELUDE.index, _INSERT_SORTED)
 
 
-def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
-    """Predicates that sit on a cycle of the program's call graph.
+def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Dict[PredId, FrozenSet[PredId]]:
+    """The predicates that sit on a cycle of the program's call graph, each
+    mapped to its strongly connected component.
 
     Only these can ever meet a same-predicate ancestor on a derivation
-    path, so the variant loop check is restricted to them.  Facts add no
+    path, so the variant loop check is restricted to them, and a call can
+    only descend into the predicates of its own component.  Facts add no
     edges, so the graph is read from the rules alone, and its strongly
     connected components come from one iterative pass (Tarjan's).
     """
@@ -142,7 +148,7 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
     order: Dict[PredId, int] = {}
     low: Dict[PredId, int] = {}
     stack: List[PredId] = []
-    cyclic: Set[PredId] = set()
+    cyclic: Dict[PredId, FrozenSet[PredId]] = {}
     for root in adj:
         if root in order:
             continue
@@ -172,8 +178,53 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Set[PredId]:
                         component.append(stack.pop())
                         del low[component[-1]]
                     if len(component) > 1 or v in adj[v]:
-                        cyclic.update(component)
+                        members = frozenset(component)
+                        cyclic.update(dict.fromkeys(component, members))
     return cyclic
+
+
+def _descent_positions(
+    index: Dict[PredId, Tuple[Clause, ...]], cyclic: Dict[PredId, FrozenSet[PredId]]
+) -> Dict[PredId, int]:
+    """A descent position for each cyclic predicate that has one.
+
+    A component's predicates get position i when every positive call from
+    their clauses to the component passes, at i, a proper subterm of the
+    head's argument i; a negated call is exempt, as its proof starts with
+    no ancestors.  Every same-component call beneath a call whose argument
+    there is ground then holds a strictly smaller ground term there, so
+    the loop check can skip it (a structural level mapping: Bezem 1989;
+    Apt & Pedreschi 1993).  The component shares one position, each tried
+    in turn, so every clause is read at most once per argument position.
+    """
+    out: Dict[PredId, int] = {}
+    for members in dict.fromkeys(cyclic.values()):
+        clauses = [c for p in members for c in index[p]]
+        for i in range(min(p.arity for p in members)):
+            if all(
+                lit.negated
+                or lit.is_builtin
+                or lit.pred not in members
+                or _proper_subterm(lit.atom.args[i], c.head.args[i])
+                for c in clauses
+                for lit in c.body
+            ):
+                out.update(dict.fromkeys(members, i))
+                break
+    return out
+
+
+def _proper_subterm(s: Term, t: Term) -> bool:
+    """True when `s` occurs in `t` below its root, variables read as written."""
+    todo = [t] if type(t) is Struct else []
+    while todo:
+        cur = todo.pop()
+        for a in cur.args:
+            if a == s:
+                return True
+            if type(a) is Struct:
+                todo.append(a)
+    return False
 
 
 def _first_arg_table(
@@ -239,22 +290,26 @@ class _ProgramIndex:
 
     `lookup` maps each predicate to its clauses, the prelude filling in
     what the program does not define; `cyclic` holds the predicates on a
-    cycle of the call graph; `tables` holds first-argument tables, every
-    rule predicate's from the start and a fact-only predicate's from the
-    first call to it with a bound first argument.  It is cached on the
-    program, so every solve over the same program (the planner's one per
-    plan length) shares it.  `layer_facts` puts a program's facts on top
-    of a built index without deriving the rest again.
+    cycle of the call graph, and `descent` the descent position of those
+    that have one (see `_descent_positions`); `tables` holds first-argument
+    tables, every rule predicate's from the start and a fact-only
+    predicate's from the first call to it with a bound first argument.  It
+    is cached on the program, so every solve over the same program (the
+    planner's one per plan length) shares it.  `layer_facts` puts a
+    program's facts on top of a built index without deriving the rest
+    again.
     """
 
-    __slots__ = ("lookup", "cyclic", "tables", "native_insert", "native_member")
+    __slots__ = ("lookup", "cyclic", "descent", "tables", "native_insert", "native_member")
 
     def __init__(self, program: Program):
         lookup = dict(program.index)
         for pred, clauses in PRELUDE.index.items():
             lookup.setdefault(pred, clauses)
         self.lookup = lookup
-        self.cyclic = _cyclic_preds(lookup)
+        components = _cyclic_preds(lookup)
+        self.cyclic = set(components)
+        self.descent = _descent_positions(lookup, components)
         self.tables: Dict[PredId, tuple] = {
             pred: _first_arg_table(clauses)
             for pred, clauses in lookup.items()
@@ -295,10 +350,10 @@ def layer_facts(kb: Program, facts: Program) -> Program:
     layered on top: kb is indexed once, however many fact programs meet it.
 
     Facts add no call-graph edge, so the layered index is a copy of kb's
-    that shares its cyclic set; only its lookup and tables (a few dozen
-    entries) are copied again, not derived from every clause.  Raises
-    ValueError when `facts` holds a rule, or defines a predicate that kb,
-    the prelude or the solver already provides.
+    that shares its cyclic set and descent positions; only its lookup and
+    tables (a few dozen entries) are copied again, not derived from every
+    clause.  Raises ValueError when `facts` holds a rule, or defines a
+    predicate that kb, the prelude or the solver already provides.
     """
     if any(c.body for c in facts.clauses):
         raise ValueError("only facts can be layered on a program's index")
@@ -345,7 +400,7 @@ class _Solver:
                 seen.setdefault(name)
         # A query's `_` is named `_#A<n>` (see the parser) and is no answer.
         self.query_vars: Tuple[str, ...] = tuple(n for n in seen if not n.startswith("_#"))
-        self.seen_answers: Set[Tuple[str, ...]] = set()
+        self.seen_answers: Set[Tuple[Term, ...]] = set()
 
     def _step(self) -> None:
         self.steps += 1
@@ -388,9 +443,9 @@ class _Solver:
                     ok = _FAILED
                 else:
                     self._step()
-                    atom = apply_subst(self.bindings, atom)
-                    if term_vars(atom):
-                        raise FlounderError(f"negated call not ground: not {format_term(atom)}")
+                    if not _ground(atom, self.bindings):
+                        text = format_term(apply_subst(self.bindings, atom))
+                        raise FlounderError(f"negated call not ground: not {text}")
                     # Prove the atom as a positive goal with no ancestors,
                     # behind a barrier that is resumed once its search is
                     # exhausted (see _resume) and a marker that cuts it.
@@ -450,10 +505,13 @@ class _Solver:
                 cell = None
         key = None
         if cell is None and cfg.loop_check and pred in idx.cyclic:
-            key = variant_key(atom, self.bindings)
-            if self._seen_on_path(anc, key):
-                self._step()
-                return None
+            # A call whose descent argument is ground cannot loop: no key, no frame.
+            pos = idx.descent.get(pred)
+            if pos is None or not _ground(atom.args[pos], self.bindings):
+                key = variant_key(atom, self.bindings)
+                if self._seen_on_path(anc, key):
+                    self._step()
+                    return None
         if cfg.trace is not None:
             cfg.trace("  " * depth + "call " + format_term(apply_subst(self.bindings, atom)))
         if cell is not None:
@@ -646,7 +704,10 @@ class _Solver:
         values: Dict[str, Term] = {}
         for name in self.query_vars:
             values[name] = self._present(Var(name), free)
-        key = tuple(format_term(values[n]) for n in self.query_vars)
+        # Presented values rename free variables canonically, so equal
+        # tuples are variant answers; terms, not their text, because an
+        # integer and an atom can print alike.
+        key = tuple(values.values())
         if key in self.seen_answers:
             return None
         self.seen_answers.add(key)

@@ -220,6 +220,21 @@ def _occurs(name: str, t: Term, s: Subst) -> bool:
     return False
 
 
+def _ground(t: Term, s: Subst) -> bool:
+    """True when no unbound variable occurs in `t` read through `s`: one walk
+    that stops at ground subterms and builds nothing."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        while type(t) is Var:
+            t = s.get(t.name)
+            if t is None:
+                return False
+        if type(t) is Struct and not t.ground:
+            stack.extend(t.args)
+    return True
+
+
 def unify_in_place(t1: Term, t2: Term, bindings: Subst, trail: List[str]) -> bool:
     """Destructive unification with occurs check, used by the solver.
 

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_program
+from conftest import FAMILY_TEXT, random_program
 import homelog.engine as engine
 from homelog.engine import (
     BudgetExceeded,
     FlounderError,
     SolveConfig,
     _cyclic_preds,
+    _descent_positions,
     _first_arg_table,
     _program_index,
     _ProgramIndex,
@@ -22,7 +23,7 @@ from homelog.engine import (
 )
 from homelog.fixpoint import fixpoint_answers
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
-from homelog.planner import planning_kb
+from homelog.planner import TASK_CATALOG, PlanOptions, UnresolvableTask, plan, planning_kb
 from homelog.program import Clause, Literal, PredId, Program
 from homelog.scenes import six_object_scene
 from homelog.terms import (
@@ -87,6 +88,14 @@ def test_clauses_tried_in_source_order():
 def test_duplicate_answers_collapse():
     p = parse_program("p(a). p(a). q(X) :- p(X).")
     assert [str(a) for a in answers_for(p, "?- q(X).")] == ["X = a"]
+
+
+def test_answers_keep_integers_apart_from_lookalike_atoms():
+    # Both answers print as `X = 1`; they are still two answers.
+    p = Program([Clause(Struct("p", (Const(1),))), Clause(Struct("p", (Const("1"),)))])
+    answers, status = solve_all(p, [Literal(Struct("p", (Var("X"),)))])
+    assert status == "exhausted"
+    assert [a.bindings["X"] for a in answers] == [Const(1), Const("1")]
 
 
 def test_undefined_predicate_just_fails(family_program):
@@ -238,6 +247,132 @@ def test_cyclic_predicates_of_the_planning_program():
     assert _program_index(planning_kb() + state_to_facts(random_scene(7, 100))).cyclic == want
 
 
+def test_descent_positions_of_the_planning_program():
+    index = _program_index(planning_kb())
+    want = {
+        PredId("member", 2): 1,
+        PredId("missing_goals", 3): 0,
+        PredId("needed_steps", 3): 0,
+        PredId("remove_fluent", 3): 1,
+        PredId("subset", 2): 0,
+        PredId("transform", 4): 3,
+        PredId("update_walking", 3): 0,
+    }
+    assert index.descent == want
+    assert set(want) == index.cyclic
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("nat(z). nat(s(X)) :- nat(X).", {"nat": 0}),
+        ("len([], z). len([_|T], s(N)) :- len(T, N).", {"len": 0}),
+        ("rev([], A, A). rev([H|T], A, R) :- rev(T, [H|A], R).", {"rev": 0}),
+        # Descent through two mutually recursive predicates.
+        ("even(z). even(s(X)) :- odd(X). odd(s(X)) :- even(X).", {"even": 0, "odd": 0}),
+        # A negated call needs no descent: its proof starts with no ancestors.
+        ("even(z). even(s(X)) :- not even(X).", {"even": 0}),
+        # The head's argument itself, or a larger term, is no descent.
+        ("p(X) :- p(f(X)). p(a).", {}),
+        ("q(X) :- q(X). q(a).", {}),
+        ("a(X) :- b(X). b(X) :- a(X). a(z).", {}),
+        ("a(X) :- b(X). b(f(X)) :- a(X).", {}),
+        # Descent at different positions in different clauses: no common measure.
+        ("p(f(X), Y) :- p(X, f(Y)). p(X, f(Y)) :- p(f(X), Y).", {}),
+        ("path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y). edge(a, b).", {}),
+    ],
+)
+def test_descent_positions_of_small_programs(text, want):
+    program = parse_program(text)
+    got = _descent_positions(program.index, _cyclic_preds(program.index))
+    assert {p.name: i for p, i in got.items()} == want
+
+
+GRAPH = "edge(a, b). edge(b, c). edge(c, a). edge(c, d).\n"
+
+# Recursive programs and queries, with the loop check cutting calls, with
+# calls exempt by descent, and with both.
+DESCENT_CORPUS = [
+    (text + GRAPH, ("?- path(a, Y).", "?- path(X, d).", "?- path(X, Y)."))
+    for text in (
+        "path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), path(Z, Y).",
+        "path(X, Y) :- path(X, Z), edge(Z, Y). path(X, Y) :- edge(X, Y).",
+        "path(X, Y) :- edge(X, Y). path(X, Y) :- path(X, Z), path(Z, Y).",
+        "path(X, Y) :- edge(X, Y). path(X, Y) :- edge(X, Z), hop(Z, Y).\n"
+        "hop(X, Y) :- edge(X, Y). hop(X, Y) :- edge(X, Z), path(Z, Y).",
+    )
+] + [
+    (FAMILY_TEXT, ("?- niece(X, Y).", "?- parent(X, Y).")),
+    ("nat(z). nat(s(X)) :- nat(X).", ("?- nat(X).", "?- nat(s(s(z))).", "?- nat(s(X)).")),
+    (
+        "even(z). even(s(X)) :- odd(X). odd(s(X)) :- even(X).",
+        ("?- even(s(s(z))).", "?- odd(s(s(z))).", "?- even(X).", "?- odd(X)."),
+    ),
+    ("a(X) :- b(X). b(X) :- a(X). a(z).", ("?- a(z).", "?- b(X).")),
+    ("q(a). q(X) :- q(X).", ("?- q(a).", "?- q(X).")),
+    ("p(f(X), Y) :- p(X, f(Y)). p(X, f(Y)) :- p(f(X), Y). p(a, b).", ("?- p(f(a), b).", "?- p(a, f(b)).")),
+    (
+        "lst([a, b, c]).",
+        (
+            "?- lst(L), member(X, L).",
+            "?- member(a, L).",
+            "?- lst(L), subset([c, a], L).",
+            "?- lst(L), subset(S, L).",
+        ),
+    ),
+    ("member(X, [X|_]). member(X, [_|T]) :- member(X, T).", ("?- member(X, [a, b, a]).", "?- member(b, L).")),
+    ("rev([], A, A). rev([H|T], A, R) :- rev(T, [H|A], R).", ("?- rev([a, b, c], [], R).",)),
+    ("even(z). even(s(X)) :- not even(X).", ("?- even(s(s(s(z)))).", "?- even(s(s(z))).")),
+]
+
+
+def test_the_descent_exemption_changes_no_search(monkeypatch):
+    """Answers, statuses, call traces and loop-check cut-offs are the same
+    with and without the descent table, on recursive programs and on
+    planning; only the number of calls keyed falls."""
+    walks = []
+    seen_on_path = engine._Solver._seen_on_path
+
+    def counted(self, anc, key):
+        walks.append(seen_on_path(self, anc, key))
+        return walks[-1]
+
+    monkeypatch.setattr(engine._Solver, "_seen_on_path", counted)
+
+    def observe(exempt):
+        walks.clear()
+        out = []
+        for text, queries in DESCENT_CORPUS:
+            program = parse_program(text)
+            if not exempt:
+                _program_index(program).descent = {}
+            for query in queries:
+                lines = []
+                cut = sum(walks)
+                config = SolveConfig(step_budget=2_000, trace=lines.append)
+                answers, status = solve_all(program, parse_query(query), config)
+                out.append((text, query, [str(a) for a in answers], status, lines, sum(walks) - cut))
+        if not exempt:
+            monkeypatch.setattr(_program_index(planning_kb()), "descent", {})
+        for scene in (random_scene(7, 100), six_object_scene(), random_scene(1, 12), random_scene(2, 40)):
+            for task in TASK_CATALOG.values():
+                lines = []
+                cut = sum(walks)
+                try:
+                    actions = plan(scene, task, PlanOptions(config=SolveConfig(trace=lines.append)))
+                except UnresolvableTask as e:
+                    actions = e.type_name
+                out.append((task.name, actions, lines, sum(walks) - cut))
+        return out, len(walks)
+
+    exempt, keyed = observe(True)
+    full, keyed_without = observe(False)
+    assert exempt == full
+    assert keyed < keyed_without / 2
+    nat = [row for row in exempt if row[1] == "?- nat(X)."]
+    assert [row[2:4] for row in nat] == [(["X = z"], "exhausted")]
+
+
 def _force_tables(index):
     """Build every predicate's first-argument table through the lookup path."""
     for pred in index.lookup:
@@ -257,6 +392,7 @@ def test_layered_index_equals_a_fresh_index(seed, n_objects):
     assert program == planning_kb() + facts
     assert layered.lookup == fresh.lookup
     assert layered.cyclic == fresh.cyclic
+    assert layered.descent == fresh.descent
     assert (layered.native_insert, layered.native_member) == (fresh.native_insert, fresh.native_member)
     assert _force_tables(layered).tables == _force_tables(fresh).tables
 
