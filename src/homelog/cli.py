@@ -35,7 +35,8 @@ EXIT_FLOUNDER = 6
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
+    """A UTF-8 file's text, without the byte order mark some editors write."""
+    with open(path, "r", encoding="utf-8-sig") as f:
         return f.read()
 
 

@@ -680,11 +680,11 @@ class _Solver:
 
     def _insert_sorted(self, atom: Term) -> bool:
         assert isinstance(atom, Struct)
-        item = apply_subst(self.bindings, atom.args[0])
-        lst = apply_subst(self.bindings, atom.args[1])
-        if term_vars(item) or term_vars(lst):
+        item, lst, out = atom.args
+        if not (_ground(item, self.bindings) and _ground(lst, self.bindings)):
             raise FlounderError("insert_sorted/3 needs ground item and list")
-        items, tail = list_parts(lst)
+        item = apply_subst(self.bindings, item)
+        items, tail = list_parts(apply_subst(self.bindings, lst))
         if tail != EMPTY_LIST:
             raise FlounderError("insert_sorted/3 needs a proper list")
         if item not in items:
@@ -695,7 +695,7 @@ class _Solver:
                     at = i
                     break
             items.insert(at, item)
-        return unify_in_place(atom.args[2], make_list(items), self.bindings, self.trail)
+        return unify_in_place(out, make_list(items), self.bindings, self.trail)
 
     # -- answers ---------------------------------------------------------------
 

@@ -1,14 +1,24 @@
 """Top-down parser for the logic-program surface syntax.
 
-The accepted subset: lowercase atoms, uppercase/underscore variables,
-integers, compound terms, bracket list sugar ([a, b], [H|T]), facts and
-rules with `:-`, comma conjunction, prefix `not`, the infix builtins
-`=` and `\\=`, `%` line comments, and `?-` queries.
+The accepted subset: atoms, variables, integers, compound terms, bracket
+list sugar ([a, b], [H|T]), facts and rules with `:-`, comma conjunction,
+prefix `not`, the infix builtins `=` and `\\=`, `%` line comments, and
+`?-` queries.
+
+One regular expression splits the text, and a token is just its string,
+with "" for the end of input.  Its kind is read from its text: a word
+starts with a letter or `_` and is a variable when that is `_` or an
+uppercase letter, an atom otherwise; a run of decimal digits is an
+integer; the rest is punctuation.  Only space, tab, `\r` and `\n` are
+whitespace.  Line and column are counted from the text only when a
+ParseError is built.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Set, Tuple
 
 from .program import BUILTIN_FUNCTORS, Clause, Literal, Program, pred_of
@@ -36,68 +46,45 @@ _ATOM = "atom"
 _VAR = "var"
 _INT = "int"
 _PUNCT = "punct"
-_EOF = "eof"
 
-_PUNCT_TWO = (":-", "?-", "\\=")
-_PUNCT_ONE = "()[],|.="
+_PUNCTS = frozenset((":-", "?-", "\\=", *"()[],|.="))
+
+# One token per match, after any whitespace and `%` comments: a two- or
+# one-character punctuation mark, a run of decimal digits, a word, any
+# other single character (rejected by _tokenize), or "" at the end.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*(:-|\?-|\\=|[()\[\],|.=]|\d+|\w+|.|\Z)")
 
 
-def _tokenize(text: str) -> List[Tuple[str, str, int, int]]:
-    toks: List[Tuple[str, str, int, int]] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT_TWO:
-            toks.append((_PUNCT, two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT_ONE:
-            toks.append((_PUNCT, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append((_INT, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = _VAR if (ch == "_" or ch.isupper()) else _ATOM
-            toks.append((kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append((_EOF, "", line, col))
+def _kind(tok: str) -> str:
+    """A token's kind, read from its first character."""
+    c = tok[:1]
+    if c.isalpha() or c == "_":
+        return _VAR if c == "_" or c.isupper() else _ATOM
+    return _INT if c.isdecimal() else _PUNCT
+
+
+def _error(text: str, index: int, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
+    """A ParseError at the start of the text's index-th token, which for
+    the final "" is the end of the text."""
+    offset = next(islice(_TOKEN.finditer(text), index, None)).start(1)
+    column = offset - text.rfind("\n", 0, offset)
+    return ParseError(message, text.count("\n", 0, offset) + 1, column, expected)
+
+
+def _tokenize(text: str) -> List[str]:
+    """The text's tokens, ending with "".  Every token is checked before
+    any grammar runs, so an unexpected character anywhere is the error."""
+    toks = _TOKEN.findall(text)
+    bad = [t for t in set(toks) if t and _kind(t) == _PUNCT and t not in _PUNCTS]
+    if bad:
+        first = min(map(toks.index, bad))
+        raise _error(text, first, f"unexpected character {toks[first][0]!r}")
     return toks
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.anon = 0  # counter for `_` occurrences
@@ -107,27 +94,17 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Tuple[str, str, int, int]:
-        return self.toks[self.pos]
-
-    def next(self) -> Tuple[str, str, int, int]:
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
-
     def fail(self, message: str, expected: Tuple[str, ...] = ()) -> ParseError:
-        _, _, line, col = self.peek()
-        return ParseError(message, line, col, expected)
+        return _error(self.text, self.pos, message, expected)
 
     def expect_punct(self, value: str) -> None:
-        kind, val, _, _ = self.peek()
-        if kind != _PUNCT or val != value:
+        if self.toks[self.pos] != value:
             raise self.fail(f"got {self.describe()}", expected=(f"'{value}'",))
-        self.next()
+        self.pos += 1
 
     def describe(self) -> str:
-        kind, val, _, _ = self.peek()
-        return "end of input" if kind == _EOF else f"{kind} {val!r}"
+        tok = self.toks[self.pos]
+        return f"{_kind(tok)} {tok!r}" if tok else "end of input"
 
     # -- grammar -----------------------------------------------------------
 
@@ -136,81 +113,80 @@ class _Parser:
         explicit stack of [kind, functor, items] frames, kind "(" for a
         compound's arguments, "[" for a list's items and "|" for its tail,
         so nesting depth does not deepen the Python stack."""
+        toks = self.toks
+        pos = self.pos
         stack: List[list] = []
         while True:
-            t = self.parse_opening(stack)
-            while t is not None:
+            # A term's first tokens: the whole term, or a frame to push.
+            tok = toks[pos]
+            c = tok[:1]  # read as in _kind, which this loop inlines
+            pos += 1
+            if c.isalpha() or c == "_":
+                if c == "_" or c.isupper():
+                    t = self.anonymous() if tok == "_" else Var(tok)
+                elif toks[pos] != "(":
+                    t = Const(tok)
+                else:
+                    pos += 1
+                    if not toks[pos]:
+                        self.pos = pos
+                        raise self.fail("unterminated argument list", expected=("term",))
+                    stack.append(["(", tok, []])
+                    continue
+            elif c.isdecimal():
+                t = Const(int(tok))
+            elif tok == "[":
+                if toks[pos] == "]":
+                    pos += 1
+                    t = EMPTY_LIST
+                elif toks[pos]:
+                    stack.append(["[", None, []])
+                    continue
+                else:
+                    self.pos = pos
+                    raise self.fail("unterminated list", expected=("term", "']'"))
+            else:
+                self.pos = pos - 1
+                raise self.fail(f"got {self.describe()}", expected=("term",))
+            # t is whole: close the frames it completes.
+            while True:
                 if not stack:
+                    self.pos = pos
                     return t
                 frame = stack[-1]
                 kind, functor, items = frame
                 if kind == "|":
+                    self.pos = pos
                     self.expect_punct("]")
+                    pos += 1
                     stack.pop()
                     t = make_list(items, t)
                     continue
                 items.append(t)
-                k, v, _, _ = self.peek()
-                if k == _PUNCT and v == ",":
-                    self.next()
-                    t = None
-                elif kind == "(" and k == _PUNCT and v == ")":
-                    self.next()
+                tok = toks[pos]
+                pos += 1
+                if tok == ",":
+                    break
+                if kind == "(" and tok == ")":
                     stack.pop()
                     t = Struct(functor, tuple(items))
-                elif kind == "(":
-                    raise self.fail(
-                        f"unterminated argument list, got {self.describe()}",
-                        expected=("','", "')'"),
-                    )
-                elif k == _PUNCT and v == "|":
-                    self.next()
-                    frame[0] = "|"
-                    t = None
-                elif k == _PUNCT and v == "]":
-                    self.next()
+                elif kind == "[" and tok == "]":
                     stack.pop()
                     t = make_list(items)
+                elif kind == "[" and tok == "|":
+                    frame[0] = "|"
+                    break
                 else:
+                    self.pos = pos - 1
+                    if kind == "(":
+                        raise self.fail(
+                            f"unterminated argument list, got {self.describe()}",
+                            expected=("','", "')'"),
+                        )
                     raise self.fail(
                         f"unterminated list, got {self.describe()}",
                         expected=("','", "'|'", "']'"),
                     )
-
-    def parse_opening(self, stack: List[list]) -> Optional[Term]:
-        """Read a term's first tokens.  Return the term if that completes
-        it; for a compound or a non-empty list, push its frame and return
-        None."""
-        kind, val, _, _ = self.peek()
-        if kind == _VAR:
-            self.next()
-            if val == "_":
-                return self.anonymous()
-            return Var(val)
-        if kind == _INT:
-            self.next()
-            return Const(int(val))
-        if kind == _ATOM:
-            self.next()
-            k, v, _, _ = self.peek()
-            if k == _PUNCT and v == "(":
-                self.next()
-                if self.peek()[0] == _EOF:
-                    raise self.fail("unterminated argument list", expected=("term",))
-                stack.append(["(", val, []])
-                return None
-            return Const(val)
-        if kind == _PUNCT and val == "[":
-            self.next()
-            kind, val, _, _ = self.peek()
-            if kind == _PUNCT and val == "]":
-                self.next()
-                return EMPTY_LIST
-            if kind == _EOF:
-                raise self.fail("unterminated list", expected=("term", "']'"))
-            stack.append(["[", None, []])
-            return None
-        raise self.fail(f"got {self.describe()}", expected=("term",))
 
     def anonymous(self) -> Var:
         """A variable for `_`, named `_A<n>` but never as a variable the
@@ -219,14 +195,11 @@ class _Parser:
         query can write and no answer reports."""
         if self.written is None:
             self.written = set()
-            i = self.scope
-            while True:
-                kind, val, _, _ = self.toks[i]
-                if kind == _EOF or (kind == _PUNCT and val == "."):
+            for tok in islice(self.toks, self.scope, None):
+                if tok in ("", "."):
                     break
-                if kind == _VAR:
-                    self.written.add(val)
-                i += 1
+                if _kind(tok) == _VAR:
+                    self.written.add(tok)
         while True:
             self.anon += 1
             name = f"{self.anon_prefix}{self.anon}"
@@ -238,12 +211,12 @@ class _Parser:
         self.written = None
 
     def parse_literal(self) -> Literal:
-        kind, val, _, _ = self.peek()
-        if kind == _ATOM and val == "not":
-            nxt = self.toks[self.pos + 1]
-            if nxt[0] in (_ATOM, _VAR, _INT) or (nxt[0] == _PUNCT and nxt[1] == "["):
-                self.next()
-                if self.peek()[0] == _ATOM and self.peek()[1] == "not":
+        toks = self.toks
+        if toks[self.pos] == "not":
+            nxt = toks[self.pos + 1]
+            if nxt == "[" or _kind(nxt) != _PUNCT:
+                self.pos += 1
+                if toks[self.pos] == "not":
                     raise self.fail("double negation is not supported")
                 inner = self.parse_term()
                 self.check_callable(inner)
@@ -251,17 +224,15 @@ class _Parser:
                     raise self.fail("builtins cannot appear under not")
                 return Literal(inner, negated=True)
         term = self.parse_term()
-        kind, val, _, _ = self.peek()
-        if kind == _PUNCT and val in BUILTIN_FUNCTORS:
-            self.next()
-            rhs = self.parse_term()
-            return Literal(Struct(val, (term, rhs)))
+        if self.is_builtin_follow():
+            op = toks[self.pos]
+            self.pos += 1
+            return Literal(Struct(op, (term, self.parse_term())))
         self.check_callable(term)
         return Literal(term)
 
     def is_builtin_follow(self) -> bool:
-        kind, val, _, _ = self.peek()
-        return kind == _PUNCT and val in BUILTIN_FUNCTORS
+        return self.toks[self.pos] in BUILTIN_FUNCTORS
 
     def check_callable(self, t: Term) -> None:
         if isinstance(t, Var):
@@ -273,13 +244,10 @@ class _Parser:
 
     def parse_body(self) -> Tuple[Literal, ...]:
         lits = [self.parse_literal()]
-        while True:
-            kind, val, _, _ = self.peek()
-            if kind == _PUNCT and val == ",":
-                self.next()
-                lits.append(self.parse_literal())
-            else:
-                return tuple(lits)
+        while self.toks[self.pos] == ",":
+            self.pos += 1
+            lits.append(self.parse_literal())
+        return tuple(lits)
 
     def parse_clause(self) -> Clause:
         self.begin_scope()
@@ -287,17 +255,16 @@ class _Parser:
         self.check_callable(head)
         if self.is_builtin_follow() or pred_of(head).name in BUILTIN_FUNCTORS:
             raise self.fail("clause heads cannot use builtins")
-        kind, val, _, _ = self.peek()
         body: Tuple[Literal, ...] = ()
-        if kind == _PUNCT and val == ":-":
-            self.next()
+        if self.toks[self.pos] == ":-":
+            self.pos += 1
             body = self.parse_body()
         self.expect_punct(".")
         return Clause(head, body)
 
     def parse_program(self) -> Program:
         clauses = []
-        while self.peek()[0] != _EOF:
+        while self.toks[self.pos]:
             clauses.append(self.parse_clause())
         return Program(clauses)
 
@@ -305,12 +272,11 @@ class _Parser:
         self.begin_scope()
         self.anon_prefix = "_#A"
         self.expect_punct("?-")
-        if self.peek()[0] == _PUNCT and self.peek()[1] == ".":
+        if self.toks[self.pos] == ".":
             raise self.fail("empty goal", expected=("literal",))
         body = list(self.parse_body())
         self.expect_punct(".")
-        kind, _, _, _ = self.peek()
-        if kind != _EOF:
+        if self.toks[self.pos]:
             raise self.fail(f"trailing input after query: {self.describe()}")
         return body
 
@@ -329,6 +295,6 @@ def parse_term_text(text: str) -> Term:
     """Parse a single term; convenience for tests and tooling."""
     p = _Parser(text)
     t = p.parse_term()
-    if p.peek()[0] != _EOF:
+    if p.toks[p.pos]:
         raise p.fail(f"trailing input after term: {p.describe()}")
     return t

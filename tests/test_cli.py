@@ -67,6 +67,16 @@ def test_a_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
     assert "line 1, column 3: unexpected character" in capsys.readouterr().err
 
 
+def test_a_byte_order_mark_only_counts_at_the_start_of_a_file(tmp_path, capsys):
+    path = tmp_path / "bom.pl"
+    path.write_text("\ufeffp(a).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "p(X)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["X = a"]
+    path.write_text("\ufeffp(a).\n\ufeffq(b).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "p(X)."]) == EXIT_PARSE
+    assert "line 2, column 1: unexpected character '\\ufeff'" in capsys.readouterr().err
+
+
 def test_missing_file_is_a_usage_error(capsys):
     assert cli_main(["parse", "/nonexistent/nowhere.pl"]) == EXIT_USAGE
     assert "error" in capsys.readouterr().err
@@ -196,6 +206,13 @@ def test_plan_prints_actions_and_confirmation(scene_file, capsys):
         "grab(remotecontrol1)",
         "GOAL SATISFIED",
     ]
+
+
+def test_plan_reads_a_scene_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text("\ufeff" + SIX_OBJECT_SCENE_JSON, encoding="utf-8")
+    assert cli_main(["plan", "--scene", str(path), "--task", "grab_remote"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "GOAL SATISFIED"
 
 
 def test_plan_from_random_scene(capsys):

@@ -189,6 +189,45 @@ def test_end_of_input_is_reported_after_a_trailing_comment(text, column):
     assert (e.value.message, e.value.line, e.value.column) == ("got end of input", 1, column)
 
 
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("% first\r\np(a).\r\n\tq(b) :- r(#).", "unexpected character '#'", 3, 12),
+        # Every character is read before the grammar: `#` wins over `(.`.
+        ("p(.\nq(#).", "unexpected character '#'", 2, 3),
+        ("p(12ab).", "unterminated argument list, got atom 'ab'", 1, 5),
+        ("p(\f).", "unexpected character '\\x0c'", 1, 3),
+        ("p\v(a).", "unexpected character '\\x0b'", 1, 2),
+        ("p(a)\u00a0.", "unexpected character '\\xa0'", 1, 5),
+        ("p(a) 7.", "got int '7'", 1, 6),
+        ("p(a) X.", "got var 'X'", 1, 6),
+        ("p(a) :- (.", "got punct '('", 1, 9),
+        ("p(a) :-", "got end of input", 1, 8),
+    ],
+    ids=["line_3", "first_bad_character", "int_then_atom", "form_feed", "vertical_tab",
+         "no_break_space", "int", "var", "punct", "end_of_input"],
+)
+def test_lexical_errors_report_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
+def test_words_are_read_by_their_first_character():
+    assert parse_term_text("a\u00b2") == Const("a\u00b2")  # a non-decimal digit inside a word
+    assert parse_term_text("\u00c4b") == Var("\u00c4b")  # an uppercase letter starts a variable
+    assert parse_term_text("\u00e9") == Const("\u00e9")  # any other letter starts an atom
+
+
+def test_programs_and_queries_over_long_lists_parse_and_solve():
+    items = ", ".join(f"x{i}" for i in range(20_000))
+    program = parse_program(f"items([{items}]).\nhas(X) :- items(L), member(X, L).\n")
+    assert [str(a) for a in solve_all(program, parse_query("?- has(x19999)."))[0]] == ["yes"]
+    assert [str(a) for a in solve_all(program, parse_query(f"?- items([{items}])."))[0]] == ["yes"]
+    answers, status = solve_all(program, parse_query(f"?- member(X, [{items}]), X = x19999."))
+    assert [str(a) for a in answers] == ["X = x19999"] and status == "exhausted"
+
+
 def test_parse_query():
     goals = parse_query("?- niece(X, Y).")
     assert goals == [Literal(Struct("niece", (Var("X"), Var("Y"))))]
