@@ -33,6 +33,18 @@ EXIT_PARSE = 4
 EXIT_INTERNAL = 5
 EXIT_FLOUNDER = 6
 
+# Every failure a command lets out, in the order they are tested: the
+# exit code and the prefix of its one stderr line.
+_FAILURES = (
+    (UnresolvableTask, EXIT_NO_ANSWER, "error"),
+    (SolveTimeout, EXIT_TIMEOUT, "timeout"),
+    (BudgetExceeded, EXIT_TIMEOUT, "stopped"),
+    (FlounderError, EXIT_FLOUNDER, "error"),
+    (ParseError, EXIT_PARSE, "parse error"),
+    (SchemaError, EXIT_PARSE, "scene error"),
+    ((OSError, ValueError), EXIT_USAGE, "error"),
+)
+
 
 def _read_text(path: str) -> str:
     """A UTF-8 file's text, without the byte order mark some editors write."""
@@ -81,16 +93,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     program = parse_program(_read_text(args.file))
     goals = _parse_query_arg(args.query)
     count = 0
-    try:
-        for answer in solve(program, goals, _solve_config(args)):
-            print(answer)
-            count += 1
-    except FlounderError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_FLOUNDER
-    except (SolveTimeout, BudgetExceeded) as e:
-        print(f"stopped: {e}", file=sys.stderr)
-        return EXIT_TIMEOUT
+    for answer in solve(program, goals, _solve_config(args)):
+        print(answer)
+        count += 1
     if count == 0:
         print("no answers.", file=sys.stderr)
         return EXIT_NO_ANSWER
@@ -128,17 +133,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         max_plan_len=args.max_len,
         config=SolveConfig(wall_timeout=args.timeout),
     )
-    try:
-        actions = plan(scene, task, options)
-    except UnresolvableTask as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NO_ANSWER
-    except SolveTimeout as e:
-        print(f"timeout: {e}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except BudgetExceeded as e:
-        print(f"stopped: {e}", file=sys.stderr)
-        return EXIT_TIMEOUT
+    actions = plan(scene, task, options)
     if actions is None:
         print("no plan found.", file=sys.stderr)
         return EXIT_NO_ANSWER
@@ -204,16 +199,11 @@ def cli_main(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except SchemaError as e:
-        print(f"scene error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except Exception as e:
+        for kind, code, prefix in _FAILURES:
+            if isinstance(e, kind):
+                print(f"{prefix}: {e}", file=sys.stderr)
+                return code
         # A fault in homelog itself: one line instead of a traceback.
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
-from .program import Clause, Literal, PredId, Program
+from .program import Clause, Literal, PredId, Program, forward_closure
 from .terms import (
     EMPTY_LIST,
     LIST_FUNCTOR,
@@ -101,7 +101,8 @@ class Answer:
     """Bindings for the variables the query writes, in first-occurrence order.
 
     Every value is either ground or contains only presentation variables
-    (_A, _B, ...); solver-internal names never leak.
+    (_A, _B, ..., skipping names the query reports); solver-internal names
+    never leak.
     """
 
     bindings: Dict[str, Term] = field(default_factory=dict)
@@ -136,50 +137,19 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Dict[PredId, Froze
     Only these can ever meet a same-predicate ancestor on a derivation
     path, so the variant loop check is restricted to them, and a call can
     only descend into the predicates of its own component.  Facts add no
-    edges, so the graph is read from the rules alone, and its strongly
-    connected components come from one iterative pass (Tarjan's).
+    edges, so the graph is read from the rules alone.  A predicate is
+    cyclic when it reaches itself, and its component is what it reaches
+    that reaches it back; the members share one frozenset.  One closure
+    per rule predicate costs O(P·(P+E)) against a linear pass's O(P+E),
+    which is nothing at the few dozen rule predicates a program here has.
     """
-    adj: Dict[PredId, Set[PredId]] = {}
-    for pred, clauses in index.items():
-        for c in clauses:
-            if c.body:
-                succ = adj.setdefault(pred, set())
-                succ.update(lit.pred for lit in c.body if not lit.is_builtin)
-    order: Dict[PredId, int] = {}
-    low: Dict[PredId, int] = {}
-    stack: List[PredId] = []
+    adj = {p: {lit.pred for c in cs for lit in c.body} for p, cs in index.items()}
+    reach = {p: forward_closure(adj, (p,)) for p, succ in adj.items() if succ}
     cyclic: Dict[PredId, FrozenSet[PredId]] = {}
-    for root in adj:
-        if root in order:
-            continue
-        order[root] = low[root] = len(order)
-        stack.append(root)
-        work = [(root, iter(adj[root]))]
-        while work:
-            v, succs = work[-1]
-            for w in succs:
-                if w not in adj:
-                    continue  # no rules: on no cycle
-                if w not in order:
-                    order[w] = low[w] = len(order)
-                    stack.append(w)
-                    work.append((w, iter(adj[w])))
-                    break
-                if w in low:  # still on the stack
-                    low[v] = min(low[v], order[w])
-            else:
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    low[u] = min(low[u], low[v])
-                if low[v] == order[v]:
-                    component = []
-                    while not component or component[-1] != v:
-                        component.append(stack.pop())
-                        del low[component[-1]]
-                    if len(component) > 1 or v in adj[v]:
-                        members = frozenset(component)
-                        cyclic.update(dict.fromkeys(component, members))
+    for p, out in reach.items():
+        if p in out and p not in cyclic:
+            members = frozenset(q for q in out if p in reach.get(q, ()))
+            cyclic.update(dict.fromkeys(members, members))
     return cyclic
 
 
@@ -401,13 +371,15 @@ class _Solver:
         # A query's `_` is named `_#A<n>` (see the parser) and is no answer.
         self.query_vars: Tuple[str, ...] = tuple(n for n in seen if not n.startswith("_#"))
         self.seen_answers: Set[Tuple[Term, ...]] = set()
+        self.labels: Iterator[str] = iter(())  # the current answer's unused labels
 
     def _step(self) -> None:
         self.steps += 1
         if self.steps > self.step_limit:
             raise BudgetExceeded(f"step budget exhausted after {self.steps} steps")
-        if self.deadline is not None and self.steps & 0xFF == 0:
-            if time.monotonic() > self.deadline:
+        # The clock is read on a solve's first step and every 256th after it.
+        if self.deadline is not None and self.steps & 0xFF == 1:
+            if time.monotonic() >= self.deadline:
                 raise SolveTimeout("wall-clock limit reached")
 
     # -- derivation machinery ------------------------------------------------
@@ -715,7 +687,9 @@ class _Solver:
 
     def _present(self, t: Term, free: Dict[str, Term]) -> Term:
         """Resolve a term, renaming its free variables to _A, _B, ... in order of
-        first occurrence, recorded in `free`; rebuilt from an explicit stack."""
+        first occurrence, recorded in `free`; rebuilt from an explicit stack.
+        A label the query itself reports would read as that variable, so it
+        is skipped."""
         todo: List[object] = [t]
         done: List[Term] = []
         while todo:
@@ -728,9 +702,9 @@ class _Solver:
             elif type(cur) is Var:
                 got = free.get(cur.name)
                 if got is None:
-                    i = len(free)
-                    label = chr(ord("A") + i) if i < 26 else f"V{i}"
-                    got = free[cur.name] = Var(f"_{label}")
+                    if not free:  # an answer's first free variable: labels start again
+                        self.labels = (x for x in map(_label, itertools.count()) if x not in self.query_vars)
+                    got = free[cur.name] = Var(next(self.labels))
                 done.append(got)
             elif type(cur) is Struct and not cur.ground:
                 todo.append((cur.functor, len(cur.args)))
@@ -738,6 +712,11 @@ class _Solver:
             else:
                 done.append(cur)
         return done[0]
+
+
+def _label(i: int) -> str:
+    """The i-th presentation variable's name: _A ... _Z, then _V26, ..."""
+    return "_" + (chr(ord("A") + i) if i < 26 else f"V{i}")
 
 
 def solve(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import SolveConfig, SolveTimeout, layer_facts, solve
+from .engine import SolveConfig, layer_facts, solve
 from .parser import parse_program
 from .program import Literal, Program
 from .relevance import prune_program
@@ -311,8 +311,8 @@ def plan(
     The scene's facts are layered on planning_kb() (see
     `engine.layer_facts`), whose solver index is built once per process,
     and the result is solved with an exact-length action skeleton for each
-    length 1..max_plan_len in turn.  SolveTimeout and BudgetExceeded
-    propagate.
+    length 1..max_plan_len in turn, each with what is left of the
+    options' wall-clock limit.  SolveTimeout and BudgetExceeded propagate.
     """
     options = options or PlanOptions()
     if goal_satisfied(state, task):
@@ -321,18 +321,11 @@ def plan(
     goal_list = make_list(encode_goal_fluents(task, state))
     program = layer_facts(planning_kb(), state_to_facts(state))
 
-    base_cfg = options.config
-    deadline = None
-    if base_cfg.wall_timeout is not None:
-        deadline = time.monotonic() + base_cfg.wall_timeout
-
+    cfg = options.config
+    deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
     for length in range(1, options.max_plan_len + 1):
-        cfg = base_cfg
         if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise SolveTimeout(f"no plan within {base_cfg.wall_timeout} s")
-            cfg = replace(base_cfg, wall_timeout=remaining)
+            cfg = replace(cfg, wall_timeout=deadline - time.monotonic())
         skeleton = [Var(f"A{i}") for i in range(1, length + 1)]
         goal = Literal(Struct("transform", (goal_list, make_list(skeleton))))
         try:

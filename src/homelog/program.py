@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Set, Tuple
 
 from .terms import Const, Struct, Term, Var, compile_template, format_term
 
@@ -15,6 +15,7 @@ __all__ = [
     "Clause",
     "Program",
     "pred_of",
+    "forward_closure",
     "format_literal",
     "format_clause",
     "format_program",
@@ -70,10 +71,23 @@ class Literal:
         object.__setattr__(self, "is_builtin", builtin)
 
 
+def forward_closure(adj: Mapping[PredId, Iterable[PredId]], roots: Iterable[PredId]) -> Set[PredId]:
+    """The predicates reached from `roots` along one or more edges of `adj`
+    (a root is in it only when it lies on a cycle); an explicit stack."""
+    out: Set[PredId] = set()
+    todo = [p for r in roots for p in adj.get(r, ())]
+    while todo:
+        p = todo.pop()
+        if p not in out:
+            out.add(p)
+            todo.extend(adj.get(p, ()))
+    return out
+
+
 @functools.lru_cache(maxsize=1024)
 def _pred_id(name: str, arity: int) -> PredId:
     """One `PredId` per predicate, shared by the clauses that define it.
-    A 400-object scene has some 1,100 facts over eight predicates, and a
+    A 400-object scene has some 740 facts over five predicates, and a
     fresh `PredId` costs about as much as the fact's `Struct` head."""
     return PredId(name, arity)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .engine import PRELUDE_PREDS
-from .program import BUILTIN_FUNCTORS, Literal, PredId, Program
+from .program import BUILTIN_FUNCTORS, Literal, PredId, Program, forward_closure
 
 __all__ = [
     "BUILTIN_PREDS",
@@ -62,16 +62,8 @@ def reachable(graph: DepGraph) -> FrozenSet[PredId]:
     adj: Dict[PredId, List[PredId]] = {}
     for src, dst, _ in graph.edges:
         adj.setdefault(src, []).append(dst)
-    out: Set[PredId] = set(BUILTIN_PREDS) | set(PRELUDE_PREDS)
-    stack = list(graph.roots)
-    out |= graph.roots
-    while stack:
-        cur = stack.pop()
-        for nxt in adj.get(cur, ()):
-            if nxt not in out:
-                out.add(nxt)
-                stack.append(nxt)
-    return frozenset(out)
+    closure = forward_closure(adj, graph.roots)
+    return frozenset(closure.union(BUILTIN_PREDS, PRELUDE_PREDS, graph.roots))
 
 
 def prune_program(program: Program, query: Sequence[Literal]) -> Program:

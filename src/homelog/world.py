@@ -367,8 +367,6 @@ def load_scene(text: str) -> WorldState:
             raise SchemaError(f"duplicate id {obj_id}")
         obj_type = _ident(entry["type"], "object type")
         room = _ident(entry["room"], "object room")
-        if room not in rooms:
-            raise SchemaError(f"object {obj_id} references unknown room {room!r}")
         defaults = OBJECT_TYPES.get(obj_type, (False, False, False))
         grabbable = _as_bool(entry.get("grabbable", defaults[0]), f"{obj_id}.grabbable")
         sittable = _as_bool(entry.get("sittable", defaults[1]), f"{obj_id}.sittable")
@@ -376,10 +374,6 @@ def load_scene(text: str) -> WorldState:
         powered = entry.get("powered", "off" if switchable else "none")
         if powered not in ("on", "off", "none"):
             raise SchemaError(f"{obj_id}.powered must be on/off/none")
-        if switchable and powered == "none":
-            raise SchemaError(f"{obj_id} is switchable but has no power state")
-        if not switchable and powered != "none":
-            raise SchemaError(f"{obj_id} is not switchable but has a power state")
         objects[obj_id] = ObjectInfo(obj_type, room, grabbable, sittable, switchable, powered)
 
     agent_doc = doc["agent"]
@@ -453,8 +447,10 @@ def validate_state(state: WorldState) -> None:
     for obj_id, obj in state.objects.items():
         if obj.room not in state.rooms:
             raise SchemaError(f"object {obj_id} references unknown room {obj.room!r}")
-        if obj.switchable != (obj.powered in ("on", "off")):
-            raise SchemaError(f"object {obj_id} has inconsistent power state")
+        if obj.switchable and obj.powered not in ("on", "off"):
+            raise SchemaError(f"{obj_id} is switchable but has no power state")
+        if not obj.switchable and obj.powered != "none":
+            raise SchemaError(f"{obj_id} is not switchable but has a power state")
     for obj_id in agent.close:
         if obj_id not in state.objects:
             raise SchemaError(f"close references unknown object {obj_id}")

@@ -21,8 +21,11 @@ from homelog.cli import (
     EXIT_USAGE,
     cli_main,
 )
-from homelog.parser import parse_program
+from homelog.engine import BudgetExceeded, FlounderError, SolveTimeout
+from homelog.parser import ParseError, parse_program
+from homelog.planner import UnresolvableTask
 from homelog.program import PredId
+from homelog.world import SchemaError
 from homelog.scenes import SIX_OBJECT_SCENE_JSON
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +149,25 @@ def test_solve_leaves_anonymous_variables_out(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["yes"]
     assert cli_main(["solve", str(path), "-q", "pair(X, _A1)."]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["X = a, _A1 = b"]
+
+
+def test_solve_answer_labels_skip_the_query_variables(tmp_path, capsys):
+    path = tmp_path / "q.pl"
+    path.write_text("q(X, Y) :- X = f(Y).\np(a, W).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "q(_A, _B)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["_A = f(_C), _B = _C"]
+    assert cli_main(["solve", str(path), "-q", "p(_A, X)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["_A = a, X = _B"]
+
+
+def test_solve_with_a_zero_timeout_stops_before_any_answer(tmp_path, capsys):
+    path = tmp_path / "nat.pl"
+    path.write_text("nat(z). nat(s(X)) :- nat(X).\n", encoding="utf-8")
+    code = cli_main(["solve", str(path), "-q", "nat(X).", "--no-loop-check", "--timeout", "0"])
+    assert code == EXIT_TIMEOUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "timeout: wall-clock limit reached\n"
 
 
 def test_solve_nested_negation_within_the_step_budget(tmp_path, capsys):
@@ -327,6 +349,40 @@ def test_internal_error_has_its_own_exit_code(family_file, monkeypatch, capsys):
     assert cli_main(["parse", family_file]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: boom\n"
+
+
+_FAILURE_ROWS = [
+    (UnresolvableTask("couch"), EXIT_NO_ANSWER, "error: "),
+    (SolveTimeout("wall-clock limit reached"), EXIT_TIMEOUT, "timeout: "),
+    (BudgetExceeded("step budget exhausted"), EXIT_TIMEOUT, "stopped: "),
+    (FlounderError("negated call not ground"), EXIT_FLOUNDER, "error: "),
+    (ParseError("unexpected token", 1, 1), EXIT_PARSE, "parse error: "),
+    (SchemaError("bad scene"), EXIT_PARSE, "scene error: "),
+    (OSError("no such file"), EXIT_USAGE, "error: "),
+    (ValueError("bad value"), EXIT_USAGE, "error: "),
+    (RuntimeError("boom"), EXIT_INTERNAL, "internal error: RuntimeError: "),
+]
+
+
+@pytest.mark.parametrize("command", ["solve", "plan"])
+@pytest.mark.parametrize(
+    "failure, code, prefix", _FAILURE_ROWS, ids=[type(row[0]).__name__ for row in _FAILURE_ROWS]
+)
+def test_every_failure_maps_to_one_exit_code_and_prefix(
+    command, failure, code, prefix, family_file, monkeypatch, capsys
+):
+    def fail(*args):
+        raise failure
+
+    monkeypatch.setattr(cli, command, fail)
+    argv = {
+        "solve": ["solve", family_file, "-q", "parent(X, Y)."],
+        "plan": ["plan", "--scene", "random:7:10", "--task", "grab_remote"],
+    }[command]
+    assert cli_main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{prefix}{failure}\n"
 
 
 def _run_module(*args):

@@ -12,6 +12,7 @@ from homelog.engine import (
     BudgetExceeded,
     FlounderError,
     SolveConfig,
+    SolveTimeout,
     _cyclic_preds,
     _descent_positions,
     _first_arg_table,
@@ -120,6 +121,15 @@ def test_anonymous_query_variables_are_not_answers():
     ]
     [answer] = answers_for(p, "?- pair(X, _), pair(_, Y), Y = b.")
     assert answer.order == ("X", "Y") and set(answer.bindings) == {"X", "Y"}
+
+
+def test_answer_labels_skip_the_names_the_query_reports():
+    # A label that is also a query variable would make `_A = f(_A)` read
+    # as a cyclic term.
+    p = parse_program("q(X, Y) :- X = f(Y). p(a, W).")
+    assert [str(a) for a in answers_for(p, "?- q(_A, _B).")] == ["_A = f(_C), _B = _C"]
+    assert [str(a) for a in answers_for(p, "?- p(_A, X).")] == ["_A = a, X = _B"]
+    assert [str(a) for a in answers_for(p, "?- q(_B, Y).")] == ["_B = f(_A), Y = _A"]
 
 
 def test_fresh_variables_cannot_alias_query_variables():
@@ -579,6 +589,55 @@ def test_cyclic_predicates_are_those_that_reach_themselves(rules):
     assert {p.name for p in _cyclic_preds(program.index)} == want
 
 
+_BODY_LITERAL = st.one_of(
+    st.tuples(st.integers(0, 7), st.booleans()),  # p<n>, negated or not
+    st.just(None),  # X = a
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.lists(_BODY_LITERAL, max_size=3)), max_size=12))
+def test_cyclic_components_are_the_mutually_reachable_predicates(rules):
+    # p0..p5 may have rules, p6 is a fact and p7 is undefined; a negated
+    # call is an edge, `=` is none.
+    clauses = [
+        Clause(
+            Struct(f"p{h}", (Var("X"),)),
+            tuple(
+                Literal(Struct("=", (Var("X"), Const("a")))) if b is None
+                else Literal(Struct(f"p{b[0]}", (Var("X"),)), negated=b[1])
+                for b in body
+            ),
+        )
+        for h, body in rules
+    ]
+    clauses.append(Clause(Struct("p6", (Const("a"),))))
+    program = Program(clauses)
+    calls = {}
+    for h, body in rules:
+        calls.setdefault(f"p{h}", set()).update(f"p{b[0]}" for b in body if b is not None)
+
+    def reached(start):
+        seen, todo = set(), list(calls.get(start, ()))
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo.extend(calls.get(p, ()))
+        return seen
+
+    reach = {p: reached(p) for p in calls}
+    want = {
+        p: {q for q in reach[p] if p in reach.get(q, ())}
+        for p in calls
+        if p in reach[p]
+    }
+    got = _cyclic_preds(program.index)
+    assert {p.name: {q.name for q in members} for p, members in got.items()} == want
+    for members in got.values():
+        assert all(got[q] is members for q in members)
+
+
 def test_empty_goal_list_rejected(family_program):
     with pytest.raises(ValueError):
         list(solve(family_program, []))
@@ -951,6 +1010,15 @@ def test_wall_timeout_reported_as_status():
     answers, status = solve_all(p, parse_query("?- spin."), cfg)
     assert answers == []
     assert status == "timeout"
+
+
+def test_a_zero_wall_timeout_stops_at_the_first_step(family_program):
+    # The clock is read on a solve's first step, not only on every 256th.
+    with pytest.raises(SolveTimeout):
+        next(solve(family_program, parse_query("?- niece(X, Y)."), SolveConfig(wall_timeout=0)))
+    p = parse_program("nat(z). nat(s(X)) :- nat(X).")
+    answers, status = solve_all(p, parse_query("?- nat(X)."), SolveConfig(loop_check=False, wall_timeout=0))
+    assert (answers, status) == ([], "timeout")
 
 
 def test_budget_growth_yields_answer_prefixes():

@@ -1,5 +1,6 @@
 """Simulator semantics, scene documents, and the fact translation."""
 
+import dataclasses
 import json
 import time
 from collections import Counter
@@ -134,6 +135,23 @@ def test_bad_scenes_are_rejected(six_scene, mutate, message):
     with pytest.raises(SchemaError) as e:
         load_scene(json.dumps(doc))
     assert message in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "obj_id, powered, message",
+    [
+        ("tv1", "none", "tv1 is switchable but has no power state"),
+        ("remotecontrol1", "dim", "remotecontrol1 is switchable but has no power state"),
+        ("shirt1", "on", "shirt1 is not switchable but has a power state"),
+        ("couch1", "off", "couch1 is not switchable but has a power state"),
+    ],
+)
+def test_validate_state_checks_power_on_states_built_in_code(six_scene, obj_id, powered, message):
+    objects = dict(six_scene.objects)
+    objects[obj_id] = dataclasses.replace(objects[obj_id], powered=powered)
+    with pytest.raises(SchemaError) as e:
+        validate_state(dataclasses.replace(six_scene, objects=objects))
+    assert str(e.value) == message
 
 
 def test_invalid_json_is_a_schema_error():
