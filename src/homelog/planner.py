@@ -97,7 +97,10 @@ class PlanOptions:
 
 # The planning knowledge base.  States are canonically sorted fluent
 # lists; update rules keep them that way so `not member(State, Visited)`
-# is a sound visited-set test.  within_reach/3 is an admissible lower
+# is a sound visited-set test.  Power is inert: a device stays as the
+# scene's starts_on/1 facts give it until the plan switches it, and the
+# state holds on(X) or off(X) only while it differs from how it started;
+# powered/2 alone reads power.  within_reach/3 is an admissible lower
 # bound on the number of actions still needed, expressed structurally
 # (one plan slot per needed action) so no arithmetic is required; it
 # prunes branches whose remaining action slots cannot possibly suffice,
@@ -179,11 +182,11 @@ legal_action(grab(X), State) :-
 legal_action(switchon(X), State) :-
     member(close(X), State),
     switchable(X),
-    not member(on(X), State).
+    not powered(X, State).
 legal_action(switchoff(X), State) :-
     member(close(X), State),
     switchable(X),
-    member(on(X), State).
+    powered(X, State).
 legal_action(sit(X), State) :-
     member(close(X), State),
     sittable(X),
@@ -193,6 +196,8 @@ legal_action(walk(X), State) :-
     type(X, _),
     not member(close(X), State).
 
+powered(X, State) :- member(on(X), State).
+powered(X, State) :- starts_on(X), not member(off(X), State).
 sitting(State) :- member(sitting_on(_), State).
 hands_full(State) :-
     member(holds(X), State), member(holds(Y), State), X \\= Y.
@@ -202,12 +207,14 @@ update(walk(X), State, State2) :-
     update_walking(State, State, Kept),
     insert_sorted(close(X), Kept, State2).
 update(grab(X), State, State2) :- insert_sorted(holds(X), State, State2).
-update(switchon(X), State, State2) :- insert_sorted(on(X), State, State2).
-update(switchoff(X), State, State2) :- remove_fluent(on(X), State, State2).
+update(switchon(X), State, State2) :- starts_on(X), remove_fluent(off(X), State, State2).
+update(switchon(X), State, State2) :- not starts_on(X), insert_sorted(on(X), State, State2).
+update(switchoff(X), State, State2) :- starts_on(X), insert_sorted(off(X), State, State2).
+update(switchoff(X), State, State2) :- not starts_on(X), remove_fluent(on(X), State, State2).
 update(sit(X), State, State2) :- insert_sorted(sitting_on(X), State, State2).
 update(standup, State, State2) :- remove_fluent(sitting_on(_), State, State2).
 
-% walking keeps held items close and whatever was switched on stays on;
+% walking keeps held items close and every switch the plan made;
 % closeness to anything not held is lost, and the agent stands up.  One
 % pass in state order, so the kept fluents stay sorted.
 update_walking([], _, []).
@@ -218,6 +225,8 @@ update_walking([close(Y)|Rest], State, Kept) :-
     not member(holds(Y), State),
     update_walking(Rest, State, Kept).
 update_walking([holds(Y)|Rest], State, [holds(Y)|Kept]) :-
+    update_walking(Rest, State, Kept).
+update_walking([off(Y)|Rest], State, [off(Y)|Kept]) :-
     update_walking(Rest, State, Kept).
 update_walking([on(Y)|Rest], State, [on(Y)|Kept]) :-
     update_walking(Rest, State, Kept).
@@ -315,10 +324,14 @@ def plan(
     options' wall-clock limit.  SolveTimeout and BudgetExceeded propagate.
     """
     options = options or PlanOptions()
-    if goal_satisfied(state, task):
+    start = set(fluent_list(state))
+    goals = encode_goal_fluents(task, state)
+    if all(g in start for g in goals):
         return []
 
-    goal_list = make_list(encode_goal_fluents(task, state))
+    # The state records only the plan's switches, so an on/1 goal whose
+    # device starts on is left out: a shortest plan never switches it.
+    goal_list = make_list([g for g in goals if g.functor != "on" or g not in start])
     program = layer_facts(planning_kb(), state_to_facts(state))
 
     cfg = options.config

@@ -281,26 +281,30 @@ def legal_actions(state: WorldState) -> List[Action]:
 # -- logic-program view --------------------------------------------------------
 
 
+def _agent_fluents(state: WorldState) -> List[Term]:
+    agent = state.agent
+    fluents: List[Term] = [Struct("close", (Const(x),)) for x in agent.close]
+    fluents += [Struct("holds", (Const(x),)) for x in agent.held]
+    if agent.sitting_on is not None:
+        fluents.append(Struct("sitting_on", (Const(agent.sitting_on),)))
+    return fluents
+
+
 def fluent_list(state: WorldState) -> List[Term]:
     """Current fluents, canonically ordered by their text form, no duplicates."""
-    fluents = {Struct("close", (Const(x),)) for x in state.agent.close}
-    fluents |= {Struct("holds", (Const(x),)) for x in state.agent.held}
-    fluents |= {
-        Struct("on", (Const(obj_id),))
-        for obj_id, obj in state.objects.items()
-        if obj.powered == "on"
-    }
-    if state.agent.sitting_on is not None:
-        fluents.add(Struct("sitting_on", (Const(state.agent.sitting_on),)))
+    fluents = _agent_fluents(state)
+    fluents += [Struct("on", (Const(i),)) for i, obj in state.objects.items() if obj.powered == "on"]
     return sorted(fluents, key=format_term)
 
 
 def state_to_facts(state: WorldState) -> Program:
     """The state as the facts the planning knowledge base reads: each
     object's type/2, the switchable/1, grabbable/1 and sittable/1 flags,
-    and one close_to_character/1 fact holding the canonical fluent list,
-    where a device's power state lives as on/1.  Rooms, placement and the
-    agent get no facts: no plan reads them.  Each object id and type
+    starts_on/1 for each device that is on, and one close_to_character/1
+    fact holding the canonical list of the agent's fluents (close/1,
+    holds/1, sitting_on/1), the plan's start state.  A plan's states add
+    on/1 or off/1 only for the switches it makes.  Rooms, placement and
+    the agent get no facts: no plan reads them.  Each object id and type
     becomes one `Const`, shared by every fact that names it."""
     objects = state.objects
     order = sorted(objects)
@@ -317,7 +321,9 @@ def state_to_facts(state: WorldState) -> Program:
     facts += [Clause(Struct("switchable", (i,))) for i, o in objs if o.switchable]
     facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
     facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
-    facts.append(Clause(Struct("close_to_character", (make_list(fluent_list(state)),))))
+    facts += [Clause(Struct("starts_on", (i,))) for i, o in objs if o.powered == "on"]
+    start = sorted(_agent_fluents(state), key=format_term)
+    facts.append(Clause(Struct("close_to_character", (make_list(start),))))
     return Program(facts)
 
 

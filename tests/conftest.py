@@ -17,8 +17,8 @@ import pytest
 from homelog.planner import Task, goal_satisfied
 from homelog.program import Clause, Literal, Program
 from homelog.scenes import six_object_scene as _six_object_scene
-from homelog.terms import Const, Struct, Var
-from homelog.world import Action, WorldState, apply_action, legal_actions, random_scene
+from homelog.terms import Const, Struct, Term, Var, format_term
+from homelog.world import Action, WorldState, apply_action, fluent_list, legal_actions, random_scene
 
 # -- corpus texts ---------------------------------------------------------------
 
@@ -208,18 +208,34 @@ def _sample_action(rng: random.Random, state: WorldState) -> Action:
     return Action(name, rng.choice(targets))
 
 
-def random_state_action_pairs(count: int, seed: int) -> List[Tuple[WorldState, Action]]:
+def random_walk_actions(count: int, seed: int) -> List[Tuple[WorldState, WorldState, Action]]:
+    """(start, state, action) triples: a random walk from a random start
+    scene reaches the state, and the action is sampled in it."""
     rng = random.Random(seed)
-    pairs: List[Tuple[WorldState, Action]] = []
-    while len(pairs) < count:
-        state = random_scene(rng.randrange(100_000), rng.randint(3, 10))
+    triples: List[Tuple[WorldState, WorldState, Action]] = []
+    while len(triples) < count:
+        start = state = random_scene(rng.randrange(100_000), rng.randint(3, 10))
         for _ in range(rng.randint(0, 5)):
             actions = legal_actions(state)
             if not actions:
                 break
             state = apply_action(state, rng.choice(actions))
         for _ in range(rng.randint(1, 4)):
-            if len(pairs) >= count:
+            if len(triples) >= count:
                 break
-            pairs.append((state, _sample_action(rng, state)))
-    return pairs
+            triples.append((start, state, _sample_action(rng, state)))
+    return triples
+
+
+def kb_fluents(start: WorldState, state: WorldState) -> List[Term]:
+    """The planning knowledge base's view of a state reached from `start`:
+    the agent's fluents, and on(X) or off(X) for each device whose power
+    differs from how it was in `start`, canonically sorted.  The knowledge
+    base reads the rest of the power from `state_to_facts(start)`."""
+    fluents = [f for f in fluent_list(state) if f.functor != "on"]
+    fluents += [
+        Struct(obj.powered, (Const(obj_id),))
+        for obj_id, obj in state.objects.items()
+        if obj.powered != start.objects[obj_id].powered
+    ]
+    return sorted(fluents, key=format_term)

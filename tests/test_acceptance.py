@@ -15,8 +15,9 @@ from conftest import (
     CORPUS_TEXTS,
     FAMILY_TEXT,
     bfs_plan_length,
+    kb_fluents,
     random_program,
-    random_state_action_pairs,
+    random_walk_actions,
 )
 from homelog import planner
 from homelog.engine import SolveConfig, solve_all
@@ -40,7 +41,6 @@ from homelog.terms import Struct, Var, make_list
 from homelog.world import (
     action_term,
     apply_action,
-    fluent_list,
     legal,
     legal_actions,
     random_scene,
@@ -214,44 +214,57 @@ def test_criterion_5b_unpruned_planning_is_much_slower_on_a_large_scene(monkeypa
         assert unpruned_trace == pruned_trace, name
 
 
+# Each switch action on a device that starts on and on one that starts off.
+SWITCHES = {(name, power) for name in ("switchon", "switchoff") for power in ("on", "off")}
+
+
 def test_criterion_6_simulator_and_rules_agree_on_legality():
+    """The knowledge base reads each sampled state as a plan does: its start
+    scene's facts, power included, and the walk's changes as the state."""
     program_cache = {}
     disagreements = []
-    for state, action in random_state_action_pairs(1000, seed=1234):
+    switches = set()
+    for start, state, action in random_walk_actions(1000, seed=1234):
         native_ok, _ = legal(state, action)
-        key = id(state)
+        key = id(start)
         if key not in program_cache:
-            program_cache[key] = domain_kb() + state_to_facts(state)
+            program_cache[key] = domain_kb() + state_to_facts(start)
         program = program_cache[key]
         goal = Literal(
-            Struct("legal_action", (action_term(action), make_list(fluent_list(state))))
+            Struct("legal_action", (action_term(action), make_list(kb_fluents(start, state))))
         )
         answers, status = solve_all(program, [goal])
         assert status == "exhausted"
         kb_ok = bool(answers)
         if kb_ok != native_ok:
             disagreements.append((str(action), native_ok, kb_ok))
+        if action.target in state.agent.close and state.objects[action.target].switchable:
+            switches.add((action.name, start.objects[action.target].powered))
     assert disagreements == []
+    assert switches >= SWITCHES
 
 
 def test_kb_update_agrees_with_the_simulator():
     """Criterion 6's companion for effects: on every distinct sampled state,
-    each legal action's update/3 has exactly one answer, the simulator's
-    successor fluent list."""
-    pairs = random_state_action_pairs(1000, seed=1234)
-    states = {id(state): state for state, _ in pairs}
+    read as its start scene's facts plus the walk's changes, each legal
+    action's update/3 has exactly one answer, the simulator's successor read
+    the same way."""
+    walks = {id(state): (start, state) for start, state, _ in random_walk_actions(1000, seed=1234)}
     kinds = set()
-    for state in states.values():
-        before = make_list(fluent_list(state))
+    for start, state in walks.values():
+        program = domain_kb() + state_to_facts(start)
+        before = make_list(kb_fluents(start, state))
         for action in legal_actions(state):
             goal = Literal(Struct("update", (action_term(action), before, Var("S2"))))
-            answers, status = solve_all(domain_kb(), [goal])
+            answers, status = solve_all(program, [goal])
             assert status == "exhausted"
             assert len(answers) == 1, str(action)
-            want = make_list(fluent_list(apply_action(state, action)))
+            want = make_list(kb_fluents(start, apply_action(state, action)))
             assert answers[0].bindings["S2"] == want, str(action)
             kinds.add(action.name)
-    assert kinds == {"walk", "grab", "switchon", "switchoff", "sit", "standup"}
+            if action.name in ("switchon", "switchoff"):
+                kinds.add((action.name, start.objects[action.target].powered))
+    assert kinds == {"walk", "grab", "switchon", "switchoff", "sit", "standup"} | SWITCHES
 
 
 def test_criterion_7_published_listings_parse_verbatim():

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import random_state_action_pairs, state_key
+from conftest import random_walk_actions, state_key
 from homelog.parser import parse_program
 from homelog.program import Clause, Literal, PredId, format_program
 from homelog.scenes import minimal_scene
@@ -372,23 +372,28 @@ def test_state_to_facts_contents(six_scene):
     # no plan reads the rooms' types or the agent's own facts
     assert "type(livingroom100, livingroom)." not in text
     assert "type(character0, character)." not in text
-    # devices are switchable whether on or off; power state is a fluent
+    # devices are switchable whether on or off; one that is on starts on,
+    # and the start state's fluent list records no power
     for device in ("cellphone1", "lamp1", "remotecontrol1", "tv1"):
         assert f"switchable({device})." in text
     assert "switchable(shirt1)." not in text
     assert "grabbable(shirt1)." in text
     assert "sittable(couch1)." in text
-    assert "close_to_character([on(tv1)])." in text
+    assert [c for c in program if c.head_pred == PredId("starts_on", 1)] == [
+        Clause(Struct("starts_on", (Const("tv1"),)))
+    ]
+    assert "close_to_character([])." in text
     assert {c.head_pred for c in program} == {
         PredId("type", 2), PredId("switchable", 1), PredId("grabbable", 1),
-        PredId("sittable", 1), PredId("close_to_character", 1),
+        PredId("sittable", 1), PredId("starts_on", 1), PredId("close_to_character", 1),
     }
 
 
 def test_state_to_facts_tracks_the_current_fluents(six_scene):
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"))
+    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"), switchon("remotecontrol1"))
     text = format_program(state_to_facts(s))
-    assert "close_to_character([close(remotecontrol1), holds(remotecontrol1), on(tv1)])." in text
+    assert "close_to_character([close(remotecontrol1), holds(remotecontrol1)])." in text
+    assert "starts_on(remotecontrol1).\nstarts_on(tv1)." in text
 
 
 def test_state_to_facts_round_trips_through_the_parser(six_scene):
@@ -490,6 +495,7 @@ def test_large_scene_translates_quickly():
         PredId("switchable", 1): 130,
         PredId("grabbable", 1): 214,
         PredId("sittable", 1): 93,
+        PredId("starts_on", 1): 69,
         PredId("close_to_character", 1): 1,
     }
 
@@ -509,7 +515,7 @@ def test_random_walks_preserve_state_invariants():
 
 
 def test_sampled_actions_apply_iff_legal():
-    for state, action in random_state_action_pairs(120, seed=4):
+    for _, state, action in random_walk_actions(120, seed=4):
         ok, reason = legal(state, action)
         if ok:
             validate_state(apply_action(state, action))
