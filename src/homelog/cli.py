@@ -83,6 +83,15 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
     )
 
 
+def _write_out(text: str, path: Optional[str]) -> None:
+    """Write the text to the named file, or else to stdout."""
+    if path:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        print(text, end="")
+
+
 def _cmd_parse(args: argparse.Namespace) -> int:
     program = parse_program(_read_text(args.file))
     print(format_program(program), end="")
@@ -105,24 +114,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_prune(args: argparse.Namespace) -> int:
     program = parse_program(_read_text(args.file))
     goals = _parse_query_arg(args.query)
-    text = format_program(prune_program(program, goals))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        print(text, end="")
+    _write_out(format_program(prune_program(program, goals)), args.output)
     return EXIT_OK
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
     program = parse_program(_read_text(args.file))
     goals = _parse_query_arg(args.query)
-    dot = to_dot(build_depgraph(program, goals))
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(dot)
-    else:
-        print(dot, end="")
+    _write_out(to_dot(build_depgraph(program, goals)), args.dot)
     return EXIT_OK
 
 
@@ -154,6 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "and a household planning domain.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solve_defaults = SolveConfig()
 
     p = sub.add_parser("parse", help="syntax-check a program and pretty-print it")
     p.add_argument("file")
@@ -162,8 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a query and print each answer")
     p.add_argument("file")
     p.add_argument("-q", "--query", required=True)
-    p.add_argument("--max-depth", type=int, default=10_000)
-    p.add_argument("--steps", type=int, default=5_000_000)
+    p.add_argument("--max-depth", type=int, default=solve_defaults.max_depth)
+    p.add_argument("--steps", type=int, default=solve_defaults.step_budget)
     p.add_argument("--timeout", type=float, default=None)
     p.add_argument("--no-loop-check", action="store_true")
     p.add_argument("--trace", action="store_true", help="log derivation steps to stderr")
@@ -184,7 +184,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="plan a task in a scene and print the actions")
     p.add_argument("--scene", required=True, help="scene file or random:SEED:N")
     p.add_argument("--task", required=True, choices=sorted(TASK_CATALOG))
-    p.add_argument("--max-len", type=int, default=8)
+    p.add_argument("--max-len", type=int, default=PlanOptions().max_plan_len)
     p.add_argument("--timeout", type=float, default=None)
     p.set_defaults(func=_cmd_plan)
 

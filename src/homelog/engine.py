@@ -370,8 +370,8 @@ class _Solver:
                 seen.setdefault(name)
         # A query's `_` is named `_#A<n>` (see the parser) and is no answer.
         self.query_vars: Tuple[str, ...] = tuple(n for n in seen if not n.startswith("_#"))
+        self.query_terms = tuple(map(Var, self.query_vars))
         self.seen_answers: Set[Tuple[Term, ...]] = set()
-        self.labels: Iterator[str] = iter(())  # the current answer's unused labels
 
     def _step(self) -> None:
         self.steps += 1
@@ -638,17 +638,14 @@ class _Solver:
     def _builtin(self, atom: Term) -> bool:
         assert isinstance(atom, Struct)
         lhs, rhs = atom.args
-        if atom.functor == "=":
-            mark = len(self.trail)
-            if unify_in_place(lhs, rhs, self.bindings, self.trail):
-                return True
-            undo_trail(self.bindings, self.trail, mark)
-            return False
-        # \=: succeeds exactly when the two sides do not unify
+        keep = atom.functor == "="
         mark = len(self.trail)
         ok = unify_in_place(lhs, rhs, self.bindings, self.trail)
+        if ok and keep:
+            return True
         undo_trail(self.bindings, self.trail, mark)
-        return not ok
+        # \= succeeds exactly when the two sides do not unify
+        return not (ok or keep)
 
     def _insert_sorted(self, atom: Term) -> bool:
         assert isinstance(atom, Struct)
@@ -672,46 +669,22 @@ class _Solver:
     # -- answers ---------------------------------------------------------------
 
     def _answer(self) -> Optional[Answer]:
-        free: Dict[str, Term] = {}
-        values: Dict[str, Term] = {}
-        for name in self.query_vars:
-            values[name] = self._present(Var(name), free)
+        values = tuple([apply_subst(self.bindings, v) for v in self.query_terms])
+        if not all([type(v) is Const or (type(v) is Struct and v.ground) for v in values]):
+            # Free variables become _A, _B, ... in order of first occurrence.
+            # A label the query itself reports would read as that variable,
+            # so it is skipped.
+            labels = (x for x in map(_label, itertools.count()) if x not in self.query_vars)
+            free = dict.fromkeys(n for v in values for n in term_vars(v))
+            rename: Subst = {n: Var(next(labels)) for n in free}
+            values = tuple([apply_subst(rename, v) for v in values])
         # Presented values rename free variables canonically, so equal
         # tuples are variant answers; terms, not their text, because an
         # integer and an atom can print alike.
-        key = tuple(values.values())
-        if key in self.seen_answers:
+        if values in self.seen_answers:
             return None
-        self.seen_answers.add(key)
-        return Answer(values, self.query_vars)
-
-    def _present(self, t: Term, free: Dict[str, Term]) -> Term:
-        """Resolve a term, renaming its free variables to _A, _B, ... in order of
-        first occurrence, recorded in `free`; rebuilt from an explicit stack.
-        A label the query itself reports would read as that variable, so it
-        is skipped."""
-        todo: List[object] = [t]
-        done: List[Term] = []
-        while todo:
-            cur = _walk(todo.pop(), self.bindings)
-            if type(cur) is tuple:
-                functor, n = cur
-                args = tuple(done[-n:])
-                del done[-n:]
-                done.append(Struct(functor, args))
-            elif type(cur) is Var:
-                got = free.get(cur.name)
-                if got is None:
-                    if not free:  # an answer's first free variable: labels start again
-                        self.labels = (x for x in map(_label, itertools.count()) if x not in self.query_vars)
-                    got = free[cur.name] = Var(next(self.labels))
-                done.append(got)
-            elif type(cur) is Struct and not cur.ground:
-                todo.append((cur.functor, len(cur.args)))
-                todo.extend(reversed(cur.args))
-            else:
-                done.append(cur)
-        return done[0]
+        self.seen_answers.add(values)
+        return Answer(dict(zip(self.query_vars, values)), self.query_vars)
 
 
 def _label(i: int) -> str:

@@ -291,15 +291,24 @@ def encode_goal_fluents(task: Task, state: WorldState) -> List[Term]:
     return sorted(set(fluents), key=format_term)
 
 
-def encode_task(task: Task, state: WorldState) -> Literal:
-    """The planning goal: transform(GoalFluents, P) with P free."""
-    goal_list = make_list(encode_goal_fluents(task, state))
+def encode_task(task: Task, state: WorldState) -> Optional[Literal]:
+    """The planning goal transform(GoalFluents, P) with P free, or None when
+    the state already satisfies the task.
+
+    The planning state records only a plan's switches, so an on/1 goal
+    whose device is already on is left out: a shortest plan never switches
+    it.
+    """
+    current = set(fluent_list(state))
+    goals = encode_goal_fluents(task, state)
+    if all(g in current for g in goals):
+        return None
+    goal_list = make_list([g for g in goals if g.functor != "on" or g not in current])
     return Literal(Struct("transform", (goal_list, Var("P"))))
 
 
 def goal_satisfied(state: WorldState, task: Task) -> bool:
-    current = set(fluent_list(state))
-    return all(g in current for g in encode_goal_fluents(task, state))
+    return encode_task(task, state) is None
 
 
 def execute_plan(state: WorldState, actions: Sequence[Action]) -> WorldState:
@@ -319,19 +328,16 @@ def plan(
 
     The scene's facts are layered on planning_kb() (see
     `engine.layer_facts`), whose solver index is built once per process,
-    and the result is solved with an exact-length action skeleton for each
-    length 1..max_plan_len in turn, each with what is left of the
-    options' wall-clock limit.  SolveTimeout and BudgetExceeded propagate.
+    and `encode_task`'s goal is solved over the result with an exact-length
+    action skeleton in place of P for each length 1..max_plan_len in turn,
+    each with what is left of the options' wall-clock limit.  SolveTimeout
+    and BudgetExceeded propagate.
     """
     options = options or PlanOptions()
-    start = set(fluent_list(state))
-    goals = encode_goal_fluents(task, state)
-    if all(g in start for g in goals):
+    task_goal = encode_task(task, state)
+    if task_goal is None:
         return []
-
-    # The state records only the plan's switches, so an on/1 goal whose
-    # device starts on is left out: a shortest plan never switches it.
-    goal_list = make_list([g for g in goals if g.functor != "on" or g not in start])
+    goal_list = task_goal.atom.args[0]
     program = layer_facts(planning_kb(), state_to_facts(state))
 
     cfg = options.config

@@ -21,9 +21,9 @@ from homelog.cli import (
     EXIT_USAGE,
     cli_main,
 )
-from homelog.engine import BudgetExceeded, FlounderError, SolveTimeout
+from homelog.engine import BudgetExceeded, FlounderError, SolveConfig, SolveTimeout
 from homelog.parser import ParseError, parse_program
-from homelog.planner import UnresolvableTask
+from homelog.planner import PlanOptions, UnresolvableTask
 from homelog.program import PredId
 from homelog.world import SchemaError
 from homelog.scenes import SIX_OBJECT_SCENE_JSON
@@ -335,6 +335,15 @@ def test_readme_cli_examples_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = cli._build_parser()
+    solve_args = parser.parse_args(["solve", "f.pl", "-q", "p"])
+    assert solve_args.max_depth == SolveConfig().max_depth
+    assert solve_args.steps == SolveConfig().step_budget
+    plan_args = parser.parse_args(["plan", "--scene", "random:7:6", "--task", "grab_remote"])
+    assert plan_args.max_len == PlanOptions().max_plan_len
 
 
 def test_unknown_subcommand_is_a_usage_error(capsys):

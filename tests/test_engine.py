@@ -1,5 +1,6 @@
 """Solver behaviour: answers, negation, budgets, and oracle agreement."""
 
+import itertools
 import time
 
 import pytest
@@ -130,6 +131,37 @@ def test_answer_labels_skip_the_names_the_query_reports():
     assert [str(a) for a in answers_for(p, "?- q(_A, _B).")] == ["_A = f(_C), _B = _C"]
     assert [str(a) for a in answers_for(p, "?- p(_A, X).")] == ["_A = a, X = _B"]
     assert [str(a) for a in answers_for(p, "?- q(_B, Y).")] == ["_B = f(_A), Y = _A"]
+
+
+_QUERY_VAR_NAMES = ("X", "Y", "Z", "_A", "_B")
+_QUERY_TERMS = st.recursive(
+    st.sampled_from([Var(n) for n in _QUERY_VAR_NAMES] + [Const("a"), Const(1)]),
+    lambda kids: st.builds(Struct, st.sampled_from("fg"), st.lists(kids, min_size=1, max_size=2).map(tuple)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_QUERY_VAR_NAMES), _QUERY_TERMS), min_size=1, max_size=3))
+def test_answers_are_the_resolved_query_with_labels_in_first_occurrence_order(eqs):
+    # ?- V1 = t1, ..., Vn = tn. over shared variables, some of them named
+    # like labels: the one answer is the resolved query variables, up to
+    # renaming, and its free variables are labels in order of first
+    # occurrence, skipping every name the query reports.
+    query = "?- " + ", ".join(f"{v} = {format_term(t)}" for v, t in eqs) + "."
+    subst = {}
+    for v, t in eqs:
+        subst = unify(Var(v), t, subst) if subst is not None else None
+    answers = answers_for(Program([]), query)
+    if subst is None:
+        assert answers == []
+        return
+    [answer] = answers
+    presented = Struct("t", tuple(answer.bindings[v] for v in answer.order))
+    resolved = Struct("t", tuple(apply_subst(subst, Var(v)) for v in answer.order))
+    assert variant_of(presented, resolved)
+    labels = (f"_{c}" for c in "ABCDEFGH" if f"_{c}" not in answer.order)
+    assert term_vars(presented) == list(itertools.islice(labels, len(term_vars(presented))))
 
 
 def test_fresh_variables_cannot_alias_query_variables():

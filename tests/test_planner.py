@@ -28,7 +28,7 @@ from homelog.planner import (
 from homelog.program import Literal, PredId
 from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
 from homelog.scenes import minimal_scene, six_object_scene
-from homelog.terms import Const, Struct, Var, format_term, make_list, variant_key
+from homelog.terms import Const, Struct, Var, format_term, list_parts, make_list, variant_key
 from homelog.world import (
     IllegalAction,
     action_term,
@@ -288,6 +288,18 @@ def test_plans_never_revisit_a_fluent_state(six_scene, task_name):
         seen.add(key)
 
 
+LAMP_ON_AND_GRAB_REMOTE = Task("lamp_on_and_grab_remote", (("on", "lamp"), ("holds", "remotecontrol")))
+
+
+def lamp_scene(lamp):
+    """The six-object scene with lamp1's power set to `lamp`."""
+    doc = scene_to_dict(six_object_scene())
+    for obj in doc["objects"]:
+        if obj["id"] == "lamp1":
+            obj["powered"] = lamp
+    return load_scene(json.dumps(doc))
+
+
 @pytest.mark.parametrize(
     "lamp, want",
     [
@@ -300,16 +312,61 @@ def test_an_on_goal_plans_whether_its_device_starts_on_or_off(lamp, want):
     starts on never shows as on/1 there: its goal must count as met from the
     start, or no state ever satisfies it and the search runs out its budget.
     A lamp that starts off must be switched on."""
-    doc = scene_to_dict(six_object_scene())
-    for obj in doc["objects"]:
-        if obj["id"] == "lamp1":
-            obj["powered"] = lamp
-    scene = load_scene(json.dumps(doc))
-    task = Task("lamp_on_and_grab_remote", (("on", "lamp"), ("holds", "remotecontrol")))
+    scene = lamp_scene(lamp)
+    task = LAMP_ON_AND_GRAB_REMOTE
     actions = plan(scene, task, PlanOptions(config=SolveConfig(step_budget=100_000)))
     assert " ".join(map(str, actions)) == want
     assert len(actions) == bfs_plan_length(scene, task)
     assert goal_satisfied(execute_plan(scene, actions), task)
+
+
+def test_the_goal_encode_task_builds_solves_for_a_device_that_starts_on():
+    scene = lamp_scene("on")
+    program = engine.layer_facts(planning_kb(), state_to_facts(scene))
+    goal = encode_task(LAMP_ON_AND_GRAB_REMOTE, scene)
+    answer = next(solve(program, [goal], SolveConfig(step_budget=200_000)))
+    assert answer.bindings["P"].ground
+
+
+PLAN_GOAL_CASES = [(six_object_scene(), task) for task in TASK_CATALOG.values()] + [
+    (lamp_scene(lamp), LAMP_ON_AND_GRAB_REMOTE) for lamp in ("on", "off")
+]
+
+
+@pytest.mark.parametrize("scene, task", PLAN_GOAL_CASES)
+def test_plan_solves_the_goal_encode_task_builds(monkeypatch, scene, task):
+    goals = []
+
+    def spy(program, query, config=None):
+        goals.append(query)
+        return solve(program, query, config)
+
+    monkeypatch.setattr(planner, "solve", spy)
+    actions = plan(scene, task)
+    want = encode_task(task, scene).atom.args[0]
+    assert len(goals) == len(actions)
+    for length, [goal] in enumerate(goals, 1):
+        assert goal.atom.functor == "transform" and goal.atom.args[0] == want
+        assert len(list_parts(goal.atom.args[1])[0]) == length
+
+
+def holds_every_goal(state, task):
+    """Whether the state's fluents include every goal fluent of the task."""
+    current = set(fluent_list(state))
+    return all(g in current for g in encode_goal_fluents(task, state))
+
+
+@pytest.mark.parametrize("scene, task", PLAN_GOAL_CASES + [
+    (random_scene(seed, 8), TASK_CATALOG[name]) for seed in range(4) for name in BENCH_TASK_NAMES
+])
+def test_encode_task_is_none_exactly_when_every_goal_holds(scene, task):
+    actions = plan(scene, task) or []
+    states = [scene]
+    for action in actions:
+        states.append(execute_plan(states[-1], [action]))
+    for state in states:
+        assert (encode_task(task, state) is None) == holds_every_goal(state, task)
+        assert goal_satisfied(state, task) == holds_every_goal(state, task)
 
 
 @pytest.mark.parametrize("seed", range(4))
