@@ -2,9 +2,8 @@
 
 Search is depth-first, clauses are tried in source order, body literals
 left to right.  A call whose first argument is bound tries only the
-clauses whose head's first argument can match it (first-argument
-indexing), and when that argument is a compound whose own first argument
-is bound, only those whose compound can match there too (a second level).
+clauses whose head's first argument is a variable or has the same
+constant, or the same functor and arity (first-argument indexing).
 A clause is tried without copying it: the call is unified with the
 clause's compiled head over a fresh frame of its variables, and the body
 is built from that frame only once the head matches.
@@ -20,9 +19,9 @@ behind a barrier choice point, under the solve's one step budget and
 depth cap; non-ground negated calls flounder loudly.
 
 Unless the program defines them, `insert_sorted/3` is native and
-`member/2` walks a list's cells in one choice point: one step per cell,
-no loop-check key and no derivation level per cell, and a ground element
-is compared with ground cells by hash and equality rather than unified.
+`member/2` walks a list's cells in one choice point: one step and one
+unification per cell, and no loop-check key and no derivation level per
+cell.
 
 Answers stream lazily from a generator.  The stream ends in one of three
 ways: normal exhaustion, `BudgetExceeded`, or `SolveTimeout` (the latter
@@ -35,7 +34,7 @@ import copy
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
 from .program import Clause, Literal, PredId, Program, forward_closure
@@ -94,6 +93,12 @@ class SolveConfig:
     loop_check: bool = True
     wall_timeout: Optional[float] = None
     trace: Optional[Callable[[str], None]] = None
+
+    def __post_init__(self):
+        if self.max_depth < 0 or self.step_budget < 0:
+            raise ValueError("max_depth and step_budget must be at least 0")
+        if self.wall_timeout is not None and not self.wall_timeout >= 0:
+            raise ValueError("wall_timeout must be a number of seconds, at least 0")
 
 
 @dataclass(frozen=True)
@@ -200,21 +205,15 @@ def _proper_subterm(s: Term, t: Term) -> bool:
 def _first_arg_table(
     clauses: Tuple[Clause, ...],
 ) -> Tuple[Dict[object, Tuple[Clause, ...]], Tuple[Clause, ...]]:
-    """Index a predicate's clauses by the first argument of their heads, in
-    two levels: a compound is keyed by its functor and arity and also by
-    the key of its own first argument.
+    """Index a predicate's clauses by the first argument of their heads.
 
-    A head's key is a constant's value, or (functor, arity, inner) for a
-    compound, where inner is the `_arg_key` of the compound's first
-    argument, or None when that is a variable.  The dict maps each head's
-    key, and each compound's (functor, arity), to the clauses a call with
-    that key can match: those with the key, those with a variable there,
-    and, for a compound key, those of the same functor and arity whose
-    inner argument is a variable; (functor, arity) takes the whole family,
-    for calls whose inner argument is unbound.  The second value holds the
-    variable-headed clauses alone, for keys no head has.  All keep source
-    order.  When every first argument is a distinct constant, as in a
-    scene's facts, the dict comes from one comprehension.
+    A head's key is the `_arg_key` of its first argument: a constant's
+    value, or a compound's functor and arity.  The dict maps each head's key
+    to the clauses a call with that key can match: those with the key and
+    those with a variable there.  The second value holds the variable-headed
+    clauses alone, for keys no head has.  Both keep source order.  When
+    every first argument is a distinct constant, as in a scene's facts, the
+    dict comes from one comprehension.
     """
     firsts = [c.head.args[0] for c in clauses]
     if all(type(f) is Const for f in firsts):
@@ -226,27 +225,10 @@ def _first_arg_table(
     for c, first in zip(clauses, firsts):
         if type(first) is Var:
             open_heads.append(c)
-            keys: Iterable[object] = list(by_key)
-        elif type(first) is Const:
-            keys = (first.value,)
+            for got in by_key.values():
+                got.append(c)
         else:
-            outer = (first.functor, len(first.args))
-            inner = first.args[0]
-            if type(inner) is Var:
-                # It matches every call of its functor and arity.
-                keys = {outer, outer + (None,), *(k for k in by_key if type(k) is tuple and k[:2] == outer)}
-            else:
-                k = outer + (_arg_key(inner),)
-                if k not in by_key:
-                    # The earlier clauses that match k are those that match
-                    # an inner argument no head has.
-                    by_key[k] = list(by_key.get(outer + (None,), open_heads))
-                keys = (outer, k)
-        for k in keys:
-            got = by_key.get(k)
-            if got is None:
-                got = by_key[k] = list(open_heads)
-            got.append(c)
+            by_key.setdefault(_arg_key(first), list(open_heads)).append(c)
     return {k: tuple(v) for k, v in by_key.items()}, tuple(open_heads)
 
 
@@ -288,24 +270,14 @@ class _ProgramIndex:
         self.native_insert = _INSERT_SORTED not in program.index
         self.native_member = _MEMBER not in program.index
 
-    def clauses(self, pred: PredId, first: Term, bindings: Subst) -> Tuple[Clause, ...]:
+    def clauses(self, pred: PredId, first: Term) -> Tuple[Clause, ...]:
         """The clauses of `pred` a call whose first argument is `first`
-        (resolved, not a variable) can match, in source order.  A compound's
-        own first argument is read through `bindings`."""
+        (resolved, not a variable) can match, in source order."""
         table = self.tables.get(pred)
         if table is None:
             table = self.tables[pred] = _first_arg_table(self.lookup[pred])
         by_key, open_heads = table
-        if type(first) is Const:
-            return by_key.get(first.value, open_heads)
-        outer = (first.functor, len(first.args))
-        inner = _walk(first.args[0], bindings)
-        if type(inner) is Var:
-            return by_key.get(outer, open_heads)
-        got = by_key.get(outer + (_arg_key(inner),))
-        if got is None:
-            got = by_key.get(outer + (None,), open_heads)
-        return got
+        return by_key.get(_arg_key(first), open_heads)
 
 
 def _program_index(program: Program) -> _ProgramIndex:
@@ -492,7 +464,7 @@ class _Solver:
         if clauses and type(atom) is Struct:
             first = _walk(atom.args[0], self.bindings)
             if type(first) is not Var:
-                clauses = idx.clauses(pred, first, self.bindings)
+                clauses = idx.clauses(pred, first)
         return [node, clauses, 0, len(self.trail), key]
 
     def _resume(self, cp: list) -> object:
@@ -539,9 +511,10 @@ class _Solver:
         A slot met for the first time takes the call's subterm as it is,
         with no variable, binding or trail entry; a slot met again is
         unified with its term.  Constants and ground compounds of the head
-        are shared.  A head compound that meets an unbound variable is built
-        from the frame and bound to it after the occurs check.  On failure
-        the caller undoes the trail.
+        are shared: a constant is compared in place, a ground compound goes
+        to `unify_in_place`.  A head compound with variables that meets an
+        unbound variable is built from the frame and bound to it after the
+        occurs check.  On failure the caller undoes the trail.
         """
         bindings = self.bindings
         trail = self.trail
@@ -580,11 +553,6 @@ class _Solver:
                 elif type(t) is Const:
                     if type(a) is not Const or a.value != t.value:
                         return False
-                elif type(a) is not Struct:
-                    return False
-                elif a.ground:
-                    if a != t:
-                        return False
                 elif not unify_in_place(a, t, bindings, trail):
                     return False
         return True
@@ -593,19 +561,14 @@ class _Solver:
         """Native member(X, L): unify X with the head of the next list cell.
 
         The rest of the list is resolved only after the trail is undone, so
-        bindings made for one element never steer the walk.  A ground X is
-        compared with a ground cell by hash and then `==`, a cell whose head
-        keys apart from X (`_arg_key`) is skipped, and other cells unify.  An
-        unbound tail is the last alternative: a member/2 call of its own, on
-        the prelude clauses, at the same depth and with the same ancestors.
+        bindings made for one element never steer the walk.  Each cell costs
+        one step and one unification, whatever its head.  An unbound tail is
+        the last alternative: a member/2 call of its own, on the prelude
+        clauses, at the same depth and with the same ancestors.
         """
         node, _, _, mark, _ = cp
         atom, lit, anc, depth, nxt = node
-        undo_trail(self.bindings, self.trail, mark)
-        x = _walk(atom.args[0], self.bindings)
-        ground = type(x) is Const or (type(x) is Struct and x.ground)
-        hx = hash(x) if ground else None
-        xkey = None if type(x) is Var else _arg_key(x)
+        x = atom.args[0]
         while True:
             undo_trail(self.bindings, self.trail, mark)
             rest = _walk(cp[1], self.bindings)
@@ -613,12 +576,7 @@ class _Solver:
                 break
             self._step()
             head, cp[1] = rest.args
-            if ground and (type(head) is Const or (type(head) is Struct and head.ground)):
-                if hash(head) == hx and head == x:
-                    return nxt
-            elif xkey is not None and type(head) is not Var and _arg_key(head) != xkey:
-                continue  # a constant or another functor cannot match
-            elif unify_in_place(x, head, self.bindings, self.trail):
+            if unify_in_place(x, head, self.bindings, self.trail):
                 return nxt
         cp[1] = EMPTY_LIST
         if type(rest) is Var:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import List, Optional, Set, Tuple
 
-from .program import BUILTIN_FUNCTORS, Clause, Literal, Program, pred_of
+from .program import BUILTIN_FUNCTORS, Clause, Literal, PredId, Program, pred_of
 from .terms import EMPTY_LIST, Const, Struct, Term, Var, make_list
 
 __all__ = ["ParseError", "parse_program", "parse_query", "parse_term_text"]
@@ -48,6 +48,7 @@ _INT = "int"
 _PUNCT = "punct"
 
 _PUNCTS = frozenset((":-", "?-", "\\=", *"()[],|.="))
+_NOT = PredId("not", 1)
 
 # One token per match, after any whitespace and `%` comments: a two- or
 # one-character punctuation mark, a run of decimal digits, a word, any
@@ -229,6 +230,13 @@ class _Parser:
             self.pos += 1
             return Literal(Struct(op, (term, self.parse_term())))
         self.check_callable(term)
+        if pred_of(term) == _NOT:
+            # not(G) is the negation of G, as `not G` is.
+            term = term.args[0]
+            self.check_callable(term)
+            if pred_of(term) == _NOT:
+                raise self.fail("double negation is not supported")
+            return Literal(term, negated=True)
         return Literal(term)
 
     def is_builtin_follow(self) -> bool:

@@ -344,7 +344,7 @@ def plan(
     deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
     for length in range(1, options.max_plan_len + 1):
         if deadline is not None:
-            cfg = replace(cfg, wall_timeout=deadline - time.monotonic())
+            cfg = replace(cfg, wall_timeout=max(0.0, deadline - time.monotonic()))
         skeleton = [Var(f"A{i}") for i in range(1, length + 1)]
         goal = Literal(Struct("transform", (goal_list, make_list(skeleton))))
         try:

@@ -6,11 +6,13 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import FAMILY_TEXT
 import homelog.cli as cli
+import homelog.planner as planner
 from homelog.cli import (
     EXIT_FLOUNDER,
     EXIT_INTERNAL,
@@ -168,6 +170,60 @@ def test_solve_with_a_zero_timeout_stops_before_any_answer(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "timeout: wall-clock limit reached\n"
+
+
+def test_solve_reads_not_with_parentheses_as_negation(tmp_path, capsys):
+    path = tmp_path / "happy.pl"
+    path.write_text("person(a). person(b). sad(b).\nhappy(X) :- person(X), not(sad(X)).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "happy(X)."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["X = a"]
+    assert cli_main(["solve", str(path), "-q", "person(X), not(sad(X))."]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == ["X = a"]
+    assert cli_main(["parse", str(path)]) == EXIT_OK
+    assert "happy(X) :- person(X), not sad(X)." in capsys.readouterr().out
+    path.write_text("p(X) :- not(not(q(X))).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "p(a)."]) == EXIT_PARSE
+    assert "double negation is not supported" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--steps", "-1"), ("--max-depth", "-1"), ("--timeout", "-1"), ("--timeout", "nan")],
+)
+def test_solve_rejects_out_of_range_limits(tmp_path, capsys, flag, value):
+    # Without the check, NaN compared false with the clock and this
+    # diverging search never stopped.
+    path = tmp_path / "loop.pl"
+    path.write_text("p(X) :- q(X).\nq(X) :- p(s(X)).\n", encoding="utf-8")
+    limits = {"--steps": "100000000", "--max-depth": "100000000", "--timeout": "5", flag: value}
+    argv = ["solve", str(path), "-q", "p(z)."] + [x for kv in limits.items() for x in kv]
+    assert cli_main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 0" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_plan_rejects_out_of_range_timeouts(scene_file, capsys, value):
+    code = cli_main(["plan", "--scene", scene_file, "--task", "grab_remote", "--timeout", value])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: wall_timeout")
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--max-depth"])
+def test_solve_limits_of_zero_stay_valid(family_file, capsys, flag):
+    assert cli_main(["solve", family_file, "-q", "parent(tony, abe).", flag, "0"]) == EXIT_TIMEOUT
+    assert capsys.readouterr().err.startswith("stopped: ")
+
+
+def test_plan_times_out_when_the_deadline_passes_between_lengths(scene_file, capsys, monkeypatch):
+    # The planner's clock reads 0 for the deadline and length 1, which finds
+    # no plan, and then jumps past the deadline before length 2.
+    readings = iter([0.0, 0.0])
+    monkeypatch.setattr(planner, "time", SimpleNamespace(monotonic=lambda: next(readings, 100.0)))
+    code = cli_main(["plan", "--scene", scene_file, "--task", "grab_remote", "--timeout", "5"])
+    assert code == EXIT_TIMEOUT
+    assert capsys.readouterr().err == "timeout: wall-clock limit reached\n"
 
 
 def test_solve_nested_negation_within_the_step_budget(tmp_path, capsys):

@@ -419,7 +419,7 @@ def _force_tables(index):
     """Build every predicate's first-argument table through the lookup path."""
     for pred in index.lookup:
         if pred.arity:
-            index.clauses(pred, Const("no_such_key"), {})
+            index.clauses(pred, Const("no_such_key"))
     return index
 
 
@@ -468,29 +468,14 @@ def test_rules_do_not_layer():
 
 
 def _head_key(c):
-    """A head's two-level index key: None for a variable, a constant's value,
-    or (functor, arity, inner) for a compound, inner being None for a
-    variable, a constant's value, or a compound's (functor, arity)."""
+    """A head's index key: None for a variable, a constant's value, or a
+    compound's (functor, arity)."""
     first = c.head.args[0]
     if type(first) is Var:
         return None
     if type(first) is Const:
         return first.value
-    inner = first.args[0]
-    if type(inner) is Var:
-        return (first.functor, len(first.args), None)
-    inner_key = inner.value if type(inner) is Const else (inner.functor, len(inner.args))
-    return (first.functor, len(first.args), inner_key)
-
-
-def _head_matches(head_key, call_key):
-    """Whether a head with `head_key` can match a call with `call_key`, a
-    (functor, arity) call key being a compound whose inner argument is unbound."""
-    if head_key is None or head_key == call_key:
-        return True
-    if type(head_key) is tuple and type(call_key) is tuple and head_key[:2] == call_key[:2]:
-        return len(call_key) == 2 or head_key[2] is None
-    return False
+    return (first.functor, len(first.args))
 
 
 _UPDATE_WALKING = """\
@@ -524,27 +509,70 @@ def test_first_argument_tables_match_their_definition():
             table, open_heads = _first_arg_table(clauses)
             keys = {_head_key(c) for c in clauses} - {None}
             assert open_heads == tuple(c for c in clauses if _head_key(c) is None)
-            assert set(table) == keys | {k[:2] for k in keys if type(k) is tuple}
+            assert set(table) == keys
             for k, picked in table.items():
-                assert picked == tuple(c for c in clauses if _head_matches(_head_key(c), k))
+                assert picked == tuple(c for c in clauses if _head_key(c) in (None, k))
 
 
-def _offered(program, call_text, bindings=None):
+# First arguments that mix integers with lookalike atoms, nested compounds
+# of varied functor and arity, lists, and variables.
+_INDEX_LEAVES = st.sampled_from([Const(1), Const("1"), Const(2), Const("f"), Const("[]")]) | st.builds(
+    Var, st.sampled_from(["X", "Y", "Z"])
+)
+_INDEX_ARGS = st.recursive(
+    _INDEX_LEAVES,
+    lambda kids: st.builds(Struct, st.sampled_from(["f", "g", "."]), st.lists(kids, min_size=1, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+
+
+def _renamed_apart(t, prefix):
+    return apply_subst({n: Var(prefix + n) for n in term_vars(t)}, t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_INDEX_ARGS, min_size=1, max_size=8), _INDEX_ARGS.filter(lambda t: type(t) is not Var))
+def test_the_index_never_drops_a_clause_that_unification_accepts(firsts, call_first):
+    clauses = tuple(Clause(Struct("p", (first, Const(i)))) for i, first in enumerate(firsts))
+    index = _ProgramIndex(Program(clauses))
+    offered = index.clauses(PredId("p", 2), call_first)
+    positions = [clauses.index(c) for c in offered]
+    assert positions == sorted(set(positions))
+    call = _renamed_apart(call_first, "C")
+    for c in clauses:
+        if unify(_renamed_apart(c.head.args[0], "H"), call) is not None:
+            assert c in offered
+
+
+def _offered(program, call_text):
     """The clauses the index offers a call, as their source positions."""
     call = parse_term_text(call_text)
     index = _ProgramIndex(program)
     clauses = program.index[PredId(call.functor, len(call.args))]
-    offered = index.clauses(PredId(call.functor, len(call.args)), call.args[0], bindings or {})
+    offered = index.clauses(PredId(call.functor, len(call.args)), call.args[0])
     return [clauses.index(c) for c in offered]
 
 
 def test_a_list_call_is_offered_only_the_clauses_of_its_element():
+    # The index reads one level: a list call is offered every list clause
+    # and the variable-headed one, and head unification then keeps only
+    # the clauses of its element.
     program = parse_program(_UPDATE_WALKING)
-    assert _offered(program, "uw([holds(o3)|T], S, K)") == [3, 4]
-    assert _offered(program, "uw([close(o3)|T], S, K)") == [1, 2, 3]
-    assert _offered(program, "uw([sitting_on(o3)], S, K)") == [3, 6]
-    assert _offered(program, "uw([under(o3)|T], S, K)") == [3]
+    every_list_clause = [1, 2, 3, 4, 5, 6]
+    assert _offered(program, "uw([holds(o3)|T], S, K)") == every_list_clause
+    assert _offered(program, "uw([close(o3)|T], S, K)") == every_list_clause
+    assert _offered(program, "uw([sitting_on(o3)], S, K)") == every_list_clause
+    assert _offered(program, "uw([under(o3)|T], S, K)") == every_list_clause
     assert _offered(program, "uw([], S, K)") == [0, 3]
+    assert _offered(program, "uw(none, S, K)") == [3]
+    lines = []
+    answers_for(program, "?- uw([holds(a)], [], K).", SolveConfig(trace=lines.append))
+    assert lines == [
+        "call uw([holds(a)], [], K)",
+        "  call other([holds(a)], [], K)",
+        "  call uw([], [], _#3)",
+        "    call other([], [], _#3)",
+    ]
     answers = answers_for(program, "?- uw([holds(a), close(b), on(c), sitting_on(d)], [holds(a)], K).")
     assert [format_term(a.bindings["K"]) for a in answers] == ["[]", "[holds(a)]", "[holds(a), on(c)]"]
 
@@ -561,13 +589,23 @@ def _second_level_program():
 
 
 def test_the_second_level_keeps_integers_atoms_and_arities_apart():
+    # One index level offers every list clause; head unification keeps
+    # integers, atoms and arities apart inside the list.
     program = _second_level_program()
-    assert _offered(program, "s([1|T], W)") == [0, 4]
-    assert _offered(program, "s([X|T], W)", {"X": Const("1")}) == [1, 4]
-    assert _offered(program, "s([f(z)|T], W)") == [2, 4]
-    assert _offered(program, "s([f(z, w)|T], W)") == [3, 4]
-    assert _offered(program, "s([f(z, w, v)|T], W)") == [4]
-    assert _offered(program, "s([2|T], W)") == [4]
+    assert _offered(program, "s([1|T], W)") == [0, 1, 2, 3, 4]
+    assert _offered(program, "s(2, W)") == []
+    for element, names in (
+        (Const(1), ["int", "any"]),
+        (Const("1"), ["atom", "any"]),
+        (Struct("f", (Var("Z"),)), ["f1", "any"]),
+        (Struct("f", (Var("Z"), Var("Y"))), ["f2", "any"]),
+        (Struct("f", (Var("Z"), Var("Y"), Var("V"))), ["any"]),
+        (Const(2), ["any"]),
+    ):
+        goal = Literal(Struct("s", (Struct(".", (element, Var("T"))), Var("W"))))
+        answers, status = solve_all(program, [goal])
+        assert status == "exhausted"
+        assert [format_term(a.bindings["W"]) for a in answers] == names
     goal = Literal(Struct("s", (make_list([Const("1"), Const(1)]), Var("W"))))
     answers, status = solve_all(program, [goal])
     assert status == "exhausted"
@@ -575,12 +613,19 @@ def test_the_second_level_keeps_integers_atoms_and_arities_apart():
 
 
 def test_an_inner_argument_is_read_through_bindings():
+    # The index reads no inner argument; head unification reads it
+    # through the bindings, so an element bound by an earlier goal picks
+    # the same clauses as one written in place.
     program = parse_program(_UPDATE_WALKING)
-    every_list_clause = [1, 2, 3, 4, 5, 6]
-    assert _offered(program, "uw([X|T], S, K)") == every_list_clause
-    assert _offered(program, "uw([X|T], S, K)", {"X": Var("Y")}) == every_list_clause
-    assert _offered(program, "uw([X|T], S, K)", {"X": Var("Y"), "Y": parse_term_text("holds(a)")}) == [3, 4]
-    assert _offered(program, "uw([X|T], S, K)", {"X": parse_term_text("on(Z)")}) == [3, 5]
+    assert _offered(program, "uw([X|T], S, K)") == [1, 2, 3, 4, 5, 6]
+    for element in ("holds(a)", "on(a)", "close(a)", "close(b)", "sitting_on(a)"):
+        written = answers_for(program, f"?- uw([{element}], [holds(a)], K).")
+        bound = answers_for(program, f"?- Y = {element}, X = Y, uw([X], [holds(a)], K).")
+        assert [a.bindings["K"] for a in bound] == [a.bindings["K"] for a in written]
+    assert [format_term(a.bindings["K"]) for a in answers_for(program, "?- X = on(a), uw([X], [], K).")] == [
+        "[]",
+        "[on(a)]",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -770,7 +815,7 @@ def test_indexing_tells_integers_from_lookalike_atoms():
         assert status == "exhausted"
         assert [str(a) for a in answers] == [f"T = {tag}"]
         # Not only the answers: the index offers that one clause alone.
-        picked = p.solver_index.clauses(PredId("p", 2), first, {})
+        picked = p.solver_index.clauses(PredId("p", 2), first)
         assert [format_term(c.head.args[1]) for c in picked] == [tag]
 
 
@@ -786,7 +831,7 @@ def test_indexing_tells_compounds_apart_by_functor_and_arity():
         (Struct("g", (Const("a"),)), ["three", "any"]),
         (Const("f"), ["any"]),
     ):
-        picked = p.solver_index.clauses(PredId("q", 2), first, {})
+        picked = p.solver_index.clauses(PredId("q", 2), first)
         assert [format_term(c.head.args[1]) for c in picked] == tags
 
 
@@ -859,33 +904,22 @@ def test_member_resolves_the_tail_before_each_element():
         assert status == "budget_exceeded"
 
 
-def test_member_skips_cells_whose_head_cannot_match(monkeypatch):
+def test_member_skips_cells_whose_head_cannot_match():
     # A cell whose head is a constant, or a compound of another functor or
-    # arity, fails without a unification, but still costs its one step.
-    calls = []
-    real = engine.unify_in_place
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(engine, "unify_in_place", counted)
+    # arity, fails to unify, and costs its one step.
     p = parse_program("seed(none).")
     query = parse_query("?- member(holds(X), [close(a), on(b), holds(c), holds(d)]).")
     solver = engine._Solver(p, query, SolveConfig())
     assert [str(a) for a in solver.run()] == ["X = c", "X = d"]
-    assert len(calls) == 2
     assert solver.steps == 4
     # A variable cell, a bound-variable cell and a non-ground cell of the
-    # same functor still unify; `=` makes the first call.
-    calls.clear()
+    # same functor unify.
     query = "?- Y = holds(e), member(holds(X), [close(a), Y, holds, V, h(g), holds(f(W))])."
     assert [str(a) for a in answers_for(p, query)] == [
         "Y = holds(e), X = e, V = _A, W = _B",
         "Y = holds(e), X = _A, V = holds(_A), W = _B",
         "Y = holds(e), X = f(_A), V = _B, W = _A",
     ]
-    assert len(calls) == 4
 
 
 # -- negation as failure -----------------------------------------------------------

@@ -64,6 +64,34 @@ def test_negated_builtin_rejected():
         parse_program("p(X) :- not X = a.")
 
 
+def test_not_with_parentheses_is_negation():
+    p = parse_program("happy(X) :- person(X), not(sad(X)).")
+    assert p.clauses[0].body[1] == Literal(Struct("sad", (Var("X"),)), negated=True)
+    assert p == parse_program("happy(X) :- person(X), not sad(X).")
+    assert format_program(p) == "happy(X) :- person(X), not sad(X).\n"
+    assert parse_query("?- not(p(a)), q.") == parse_query("?- not p(a), q.")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p(X) :- not(X).", "a variable cannot be called as a literal"),
+        ("p :- not(not(q)).", "double negation is not supported"),
+        ("p :- not(3).", "an integer cannot be called as a literal"),
+        ("p :- not([q]).", "a list cannot be called as a literal"),
+    ],
+)
+def test_not_with_parentheses_gets_the_checks_of_prefix_not(text, message):
+    with pytest.raises(ParseError, match=message):
+        parse_program(text)
+
+
+def test_not_in_a_head_or_with_two_arguments_stays_an_atom():
+    p = parse_program("not(a). p :- not(a, b).")
+    assert p.clauses[0].head == Struct("not", (Const("a"),))
+    assert p.clauses[1].body == (Literal(Struct("not", (Const("a"), Const("b")))),)
+
+
 def test_builtin_head_rejected():
     with pytest.raises(ParseError):
         parse_program("=(a, b).")
