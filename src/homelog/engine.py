@@ -8,15 +8,16 @@ A clause is tried without copying it: the call is unified with the
 clause's compiled head over a fresh frame of its variables, and the body
 is built from that frame only once the head matches.
 
-A positive call that is a variant of an ancestor call on the current
-derivation path fails (loop check), which makes the kind of left
-recursion found in family-tree rule sets terminate.  Only a call on a
-cycle of the call graph is checked, and not even that when its argument
-at its component's descent position is ground: such a call only ever
-descends to smaller terms there (see `_descent_positions`).  Negation as
-failure runs the positive atom one level deeper on the same stacks,
-behind a barrier choice point, under the solve's one step budget and
-depth cap; non-ground negated calls flounder loudly.
+A positive call that, resolved through the bindings, is a variant of an
+ancestor call on the current derivation path fails (loop check), which
+makes the kind of left recursion found in family-tree rule sets
+terminate.  Only a call on a cycle of the call graph is checked, and not
+even that when its argument at its component's descent position is
+ground: such a call only ever descends to smaller terms there (see
+`_descent_positions`).  Negation as failure runs the positive atom one
+level deeper on the same stacks, behind a barrier choice point, under
+the solve's one step budget and depth cap; non-ground negated calls
+flounder loudly.
 
 Unless the program defines them, `insert_sorted/3` is native and
 `member/2` walks a list's cells in one choice point: one step and one
@@ -452,7 +453,7 @@ class _Solver:
             # A call whose descent argument is ground cannot loop: no key, no frame.
             pos = idx.descent.get(pred)
             if pos is None or not _ground(atom.args[pos], self.bindings):
-                key = variant_key(atom, self.bindings)
+                key = variant_key(apply_subst(self.bindings, atom))
                 if self._seen_on_path(anc, key):
                     self._step()
                     return None
@@ -508,24 +509,26 @@ class _Solver:
     def _unify_head(self, args: tuple, templates: tuple, code: tuple, frame: list) -> bool:
         """Unify a call's arguments with a clause head's argument templates.
 
-        A slot met for the first time takes the call's subterm as it is,
-        with no variable, binding or trail entry; a slot met again is
-        unified with its term.  Constants and ground compounds of the head
-        are shared: a constant is compared in place, a ground compound goes
-        to `unify_in_place`.  A head compound with variables that meets an
+        Arguments are matched first to last, depth first.  A slot met for
+        the first time takes the call's subterm as it is, with no variable,
+        binding or trail entry; a slot met again unifies its term with the
+        call's subterm, which binds the earlier of two unbound variables to
+        the later.  Constants and ground compounds of the head are shared:
+        a constant is compared in place, a ground compound goes to
+        `unify_in_place`.  A head compound with variables that meets an
         unbound variable is built from the frame and bound to it after the
         occurs check.  On failure the caller undoes the trail.
         """
         bindings = self.bindings
         trail = self.trail
-        todo = list(zip(args, templates))
+        todo = list(zip(reversed(args), reversed(templates)))
         while todo:
             a, t = todo.pop()
             if type(t) is int:
                 had = frame[t]
                 if had is None:
                     frame[t] = a
-                elif not unify_in_place(a, had, bindings, trail):
+                elif not unify_in_place(had, a, bindings, trail):
                     return False
                 continue
             while type(a) is Var:
@@ -537,7 +540,7 @@ class _Solver:
                 if type(a) is Struct:
                     if a.functor != t[0] or len(a.args) != len(t[1]):
                         return False
-                    todo.extend(zip(a.args, t[1]))
+                    todo.extend(zip(reversed(a.args), reversed(t[1])))
                 elif type(a) is Var:
                     built = rename_apart_term(code[t[2] : t[3]], frame, self.fresh)[0]
                     if _occurs(a.name, built, bindings):

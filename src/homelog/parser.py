@@ -3,7 +3,8 @@
 The accepted subset: atoms, variables, integers, compound terms, bracket
 list sugar ([a, b], [H|T]), facts and rules with `:-`, comma conjunction,
 prefix `not`, the infix builtins `=` and `\\=`, `%` line comments, and
-`?-` queries.
+`?-` queries.  Each `_` is a variable of its own, named `_#A<n>` in the
+solver's namespace; `format_term` prints it back as `_`.
 
 One regular expression splits the text, and a token is just its string,
 with "" for the end of input.  Its kind is read from its text: a word
@@ -19,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
-from typing import List, Optional, Set, Tuple
+from typing import List, Tuple
 
 from .program import BUILTIN_FUNCTORS, Clause, Literal, PredId, Program, pred_of
 from .terms import EMPTY_LIST, Const, Struct, Term, Var, make_list
@@ -89,9 +90,6 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.anon = 0  # counter for `_` occurrences
-        self.anon_prefix = "_A"  # "_#A" in a query
-        self.scope = 0  # position where the current clause or query starts
-        self.written: Optional[Set[str]] = None  # its variable names, once needed
 
     # -- token plumbing ----------------------------------------------------
 
@@ -190,26 +188,10 @@ class _Parser:
                     )
 
     def anonymous(self) -> Var:
-        """A variable for `_`, named `_A<n>` but never as a variable the
-        clause writes, so the name survives printing and parsing.  In a
-        query it is named `_#A<n>`, in the solver's own namespace, which no
-        query can write and no answer reports."""
-        if self.written is None:
-            self.written = set()
-            for tok in islice(self.toks, self.scope, None):
-                if tok in ("", "."):
-                    break
-                if _kind(tok) == _VAR:
-                    self.written.add(tok)
-        while True:
-            self.anon += 1
-            name = f"{self.anon_prefix}{self.anon}"
-            if name not in self.written:
-                return Var(name)
-
-    def begin_scope(self) -> None:
-        self.scope = self.pos
-        self.written = None
+        """A variable for `_`, numbered in text order, so `format_term`'s `_`
+        re-parses to the same name.  No program or query can write it."""
+        self.anon += 1
+        return Var(f"_#A{self.anon}")
 
     def parse_literal(self) -> Literal:
         toks = self.toks
@@ -258,7 +240,6 @@ class _Parser:
         return tuple(lits)
 
     def parse_clause(self) -> Clause:
-        self.begin_scope()
         head = self.parse_term()
         self.check_callable(head)
         if self.is_builtin_follow() or pred_of(head).name in BUILTIN_FUNCTORS:
@@ -277,8 +258,6 @@ class _Parser:
         return Program(clauses)
 
     def parse_query(self) -> List[Literal]:
-        self.begin_scope()
-        self.anon_prefix = "_#A"
         self.expect_punct("?-")
         if self.toks[self.pos] == ".":
             raise self.fail("empty goal", expected=("literal",))

@@ -354,44 +354,27 @@ def rename_apart_term(code: Sequence[object], frame: List[Optional[Term]], fresh
     return done
 
 
-def variant_key(t: Term, bindings: Optional[Subst] = None) -> Tuple[int, tuple]:
+def variant_key(t: Term) -> Tuple[int, tuple]:
     """A hashable key equal for two terms exactly when they are variants.
 
-    Variables bound in `bindings` are read through in the same walk, and a
-    compound that is ground only through bindings keys as the equal ground
-    Struct, so the key is that of the resolved term.  The key lists the
-    term in prefix order: variables as their number in first-occurrence
-    order, constants and ground compounds as themselves, other compounds
-    as (functor, arity).  It is returned with its hash in front, so
-    comparing two keys usually stops at one integer compare.
+    The key lists the term in prefix order: variables as their number in
+    first-occurrence order, constants and ground compounds as themselves,
+    other compounds as (functor, arity).  It is returned with its hash in
+    front, so comparing two keys usually stops at one integer compare.
+    Bindings are not read: the solver keys the call it has resolved with
+    `apply_subst`.
     """
     mapping: Dict[str, int] = {}
     key: List[object] = []
-    todo: List[object] = [t]
+    todo: List[Term] = [t]
     while todo:
         cur = todo.pop()
-        if type(cur) is int:
-            # The arguments of the compound keyed from key[cur] are done.  If
-            # each one keyed as a single term, the compound is ground.
-            functor, n = key[cur]
-            if len(key) - cur - 1 == n:
-                args = tuple(key[cur + 1 :])
-                if not any(type(a) is int for a in args):
-                    del key[cur:]
-                    key.append(Struct(functor, args))
-            continue
-        while type(cur) is Var and bindings:
-            nxt = bindings.get(cur.name)
-            if nxt is None:
-                break
-            cur = nxt
         if type(cur) is Var:
             n = mapping.get(cur.name)
             if n is None:
                 n = mapping[cur.name] = len(mapping)
             key.append(n)
         elif type(cur) is Struct and not cur.ground:
-            todo.append(len(key))
             key.append((cur.functor, len(cur.args)))
             todo.extend(reversed(cur.args))
         else:
@@ -418,7 +401,8 @@ def format_term(t: Term) -> str:
         if type(cur) is str:
             out.append(cur)
         elif type(cur) is Var:
-            out.append(cur.name)
+            # A parsed `_` (see the parser) prints as written.
+            out.append("_" if cur.name.startswith("_#A") else cur.name)
         elif type(cur) is Const:
             out.append(str(cur.value))
         elif cur.functor == LIST_FUNCTOR and len(cur.args) == 2:

@@ -58,6 +58,14 @@ def test_parse_pretty_prints(family_file, capsys):
     assert len(parse_program(out)) == 12
 
 
+def test_parse_prints_each_anonymous_variable_as_written(tmp_path, capsys):
+    text = "pair(_, X) :- q(X, _).\nsame(_A1, _).\n"
+    path = tmp_path / "anon.pl"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["parse", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == text
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.pl"
     bad.write_text("foo(", encoding="utf-8")
@@ -151,6 +159,15 @@ def test_solve_leaves_anonymous_variables_out(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["yes"]
     assert cli_main(["solve", str(path), "-q", "pair(X, _A1)."]) == EXIT_OK
     assert capsys.readouterr().out.splitlines() == ["X = a, _A1 = b"]
+
+
+def test_a_query_anonymous_variable_traces_and_flounders_as_written(tmp_path, capsys):
+    path = tmp_path / "pq.pl"
+    path.write_text("p(a).\nq(b).\n", encoding="utf-8")
+    assert cli_main(["solve", str(path), "-q", "p(_), not q(_).", "--trace"]) == EXIT_FLOUNDER
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "call p(_)"
+    assert err[-1] == "error: negated call not ground: not q(_)"
 
 
 def test_solve_answer_labels_skip_the_query_variables(tmp_path, capsys):

@@ -570,8 +570,8 @@ def test_a_list_call_is_offered_only_the_clauses_of_its_element():
     assert lines == [
         "call uw([holds(a)], [], K)",
         "  call other([holds(a)], [], K)",
-        "  call uw([], [], _#3)",
-        "    call other([], [], _#3)",
+        "  call uw([], [], _#0)",
+        "    call other([], [], _#0)",
     ]
     answers = answers_for(program, "?- uw([holds(a), close(b), on(c), sitting_on(d)], [holds(a)], K).")
     assert [format_term(a.bindings["K"]) for a in answers] == ["[]", "[holds(a)]", "[holds(a), on(c)]"]
@@ -1028,6 +1028,48 @@ def test_loop_check_tells_integers_from_lookalike_atoms():
     p = parse_program("p(1) :- p(i1). p(i1).")
     assert [str(a) for a in answers_for(p, "?- p(1).")] == ["yes"]
     assert (Const(1),) in fixpoint_answers(p, PredId("p", 1))
+
+
+_PATH_EDGES = "edge(a, b). edge(b, c). edge(c, a). edge(b, a). edge(c, d).\n"
+_PATH_SHAPES = {
+    "left": "path(X, Y) :- path(X, Z), edge(Z, Y).\npath(X, Y) :- edge(X, Y).\n",
+    "right": "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y).\n",
+    "mutual": (
+        "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), hop(Z, Y).\n"
+        "hop(X, Y) :- edge(X, Y).\nhop(X, Y) :- edge(X, Z), path(Z, Y).\n"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, query, expected, keys, cuts",
+    [
+        # Left recursion still loses c, a and d to the loop check.
+        ("left", "?- path(a, Y).", ["Y = b"], 2, 1),
+        ("right", "?- path(X, d).", ["X = c", "X = a", "X = b"], 27, 8),
+        ("mutual", "?- path(a, Y).", ["Y = b", "Y = c", "Y = a", "Y = d"], 11, 3),
+    ],
+)
+def test_loop_check_keys_and_cut_offs_on_recursive_paths(monkeypatch, shape, query, expected, keys, cuts):
+    # Pins how many calls are keyed and how many the loop check cuts over
+    # a cyclic graph, so a change to how keys are built keeps both.
+    built, cut = [], []
+    variant_key = engine.variant_key
+    seen_on_path = engine._Solver._seen_on_path
+
+    def counted_key(*args):
+        built.append(args)
+        return variant_key(*args)
+
+    def counted_walk(self, anc, key):
+        cut.append(seen_on_path(self, anc, key))
+        return cut[-1]
+
+    monkeypatch.setattr(engine, "variant_key", counted_key)
+    monkeypatch.setattr(engine._Solver, "_seen_on_path", counted_walk)
+    program = parse_program(_PATH_SHAPES[shape] + _PATH_EDGES)
+    assert [str(a) for a in answers_for(program, query)] == expected
+    assert (len(built), sum(cut)) == (keys, cuts)
 
 
 def test_member_over_a_long_list_fact():

@@ -10,6 +10,7 @@ from conftest import CORPUS_TEXTS
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
 from homelog.program import Clause, Literal, PredId, format_clause, format_program, pred_of
 from homelog.engine import solve_all
+from homelog.planner import domain_kb
 from homelog.terms import Const, Struct, Var, format_term, make_list, term_vars, variant_of
 
 
@@ -289,6 +290,20 @@ def test_corpus_texts_parse(name):
     # parse(format(parse(text))) is stable
     again = parse_program(format_program(program))
     assert [format_clause(c) for c in again] == [format_clause(c) for c in program]
+
+
+_ANONYMOUS_PROGRAMS = {
+    "pair": "pair(_, X) :- q(X, _).\nsame(_A1, _).\n",
+    "nested": "r(_) :- not s(_, a), t([_|_]).\nr([_, _A2|_]) :- _ = b.\nu(_A1, _) :- r(_).\n",
+}
+
+
+@pytest.mark.parametrize("name", ["domain_kb", *_ANONYMOUS_PROGRAMS])
+def test_a_printed_program_parses_back_equal(name):
+    program = domain_kb() if name == "domain_kb" else parse_program(_ANONYMOUS_PROGRAMS[name])
+    text = format_program(program)
+    assert "_#" not in text
+    assert parse_program(text) == program
 
 
 def test_corpus_world_facts_cover_both_arities():

@@ -547,9 +547,9 @@ def test_loop_check_walks_stay_short_on_a_1000_object_scene(monkeypatch):
     variant_key = engine.variant_key
     seen_on_path = engine._Solver._seen_on_path
 
-    def counted_key(atom, bindings=None):
+    def counted_key(atom):
         keyed[PredId(atom.functor, len(atom.args))] += 1
-        return variant_key(atom, bindings)
+        return variant_key(atom)
 
     def counted_walk(self, anc, key):
         nonlocal frames
