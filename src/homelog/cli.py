@@ -23,7 +23,7 @@ from .planner import (
 )
 from .program import format_program
 from .relevance import build_depgraph, prune_program, to_dot
-from .world import SchemaError, WorldState, load_scene, random_scene
+from .world import IllegalAction, SchemaError, WorldState, load_scene, random_scene
 
 EXIT_OK = 0
 EXIT_NO_ANSWER = 1
@@ -37,6 +37,7 @@ EXIT_FLOUNDER = 6
 # exit code and the prefix of its one stderr line.
 _FAILURES = (
     (UnresolvableTask, EXIT_NO_ANSWER, "error"),
+    (IllegalAction, EXIT_NO_ANSWER, "error: plan failed validation"),
     (SolveTimeout, EXIT_TIMEOUT, "timeout"),
     (BudgetExceeded, EXIT_TIMEOUT, "stopped"),
     (FlounderError, EXIT_FLOUNDER, "error"),

@@ -112,7 +112,6 @@ class WorldState:
     rooms: Dict[str, str]  # room id -> room type
     objects: Dict[str, ObjectInfo]
     agent: AgentState
-    step: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,93 +175,72 @@ def action_from_term(t: Term) -> Action:
 # -- legality and effects ------------------------------------------------------
 
 
-def legal(state: WorldState, action: Action) -> Tuple[bool, str]:
-    """Whether the action may run in the state, with a reason when not."""
+def _successor(state: WorldState, action: Action) -> Tuple[Optional[WorldState], str]:
+    """The action's precondition and effect in one place: the successor
+    state, or None and the reason the action may not run."""
     name, target = action.name, action.target
+    agent, objects = state.agent, state.objects
     if name not in ACTION_NAMES:
-        return False, f"unknown action {name}"
+        return None, f"unknown action {name}"
     if name == "standup":
         if target is not None:
-            return False, "standup takes no target"
-        if state.agent.sitting_on is None:
-            return False, "not sitting"
-        return True, ""
+            return None, "standup takes no target"
+        if agent.sitting_on is None:
+            return None, "not sitting"
+        return WorldState(state.rooms, objects, replace(agent, sitting_on=None)), ""
     if target is None:
-        return False, f"{name} needs a target"
-    obj = state.objects.get(target)
+        return None, f"{name} needs a target"
+    obj = objects.get(target)
     if obj is None:
-        return False, f"no object named {target}"
-    close = target in state.agent.close
+        return None, f"no object named {target}"
     if name == "walk":
-        if close:
-            return False, f"already close to {target}"
-        return True, ""
-    if not close:
-        return False, f"not close to {target}"
+        if target in agent.close:
+            return None, f"already close to {target}"
+        # held objects travel with the agent
+        if agent.held:
+            objects = {**objects, **{i: replace(objects[i], room=obj.room) for i in agent.held}}
+        agent = AgentState(obj.room, frozenset({target}) | agent.held, agent.held)
+        return WorldState(state.rooms, objects, agent), ""
+    if target not in agent.close:
+        return None, f"not close to {target}"
     if name == "grab":
         if not obj.grabbable:
-            return False, f"{target} is not grabbable"
-        if target in state.agent.held:
-            return False, f"already holding {target}"
-        if len(state.agent.held) >= 2:
-            return False, "both hands are full"
-        if state.agent.sitting_on is not None:
-            return False, "cannot grab while sitting"
-        return True, ""
-    if name == "switchon":
-        if not obj.switchable:
-            return False, f"{target} is not switchable"
-        if obj.powered != "off":
-            return False, f"{target} is not off"
-        return True, ""
-    if name == "switchoff":
-        if not obj.switchable:
-            return False, f"{target} is not switchable"
-        if obj.powered != "on":
-            return False, f"{target} is not on"
-        return True, ""
-    if name == "sit":
+            return None, f"{target} is not grabbable"
+        if target in agent.held:
+            return None, f"already holding {target}"
+        if len(agent.held) >= 2:
+            return None, "both hands are full"
+        if agent.sitting_on is not None:
+            return None, "cannot grab while sitting"
+        agent = replace(agent, held=agent.held | {target})
+    elif name == "sit":
         if not obj.sittable:
-            return False, f"cannot sit on {target}"
-        if state.agent.sitting_on is not None:
-            return False, "already sitting"
-        return True, ""
-    return False, f"unknown action {name}"
+            return None, f"cannot sit on {target}"
+        if agent.sitting_on is not None:
+            return None, "already sitting"
+        agent = replace(agent, sitting_on=target)
+    else:  # switchon or switchoff: from one power state to the other
+        before, after = ("off", "on") if name == "switchon" else ("on", "off")
+        if not obj.switchable:
+            return None, f"{target} is not switchable"
+        if obj.powered != before:
+            return None, f"{target} is not {before}"
+        objects = {**objects, target: replace(obj, powered=after)}
+    return WorldState(state.rooms, objects, agent), ""
+
+
+def legal(state: WorldState, action: Action) -> Tuple[bool, str]:
+    """Whether the action may run in the state, with a reason when not."""
+    after, reason = _successor(state, action)
+    return after is not None, reason
 
 
 def apply_action(state: WorldState, action: Action) -> WorldState:
     """Successor state, or IllegalAction explaining why there is none."""
-    ok, reason = legal(state, action)
-    if not ok:
+    after, reason = _successor(state, action)
+    if after is None:
         raise IllegalAction(reason)
-    agent = state.agent
-    objects = state.objects
-    name, target = action.name, action.target
-    if name == "walk":
-        assert target is not None
-        room = objects[target].room
-        # held objects travel with the agent
-        if agent.held:
-            objects = dict(objects)
-            for held_id in agent.held:
-                objects[held_id] = replace(objects[held_id], room=room)
-        agent = AgentState(
-            room=room,
-            close=frozenset({target}) | agent.held,
-            held=agent.held,
-            sitting_on=None,
-        )
-    elif name == "grab":
-        agent = replace(agent, held=agent.held | {target})
-    elif name in ("switchon", "switchoff"):
-        assert target is not None
-        objects = dict(objects)
-        objects[target] = replace(objects[target], powered="on" if name == "switchon" else "off")
-    elif name == "sit":
-        agent = replace(agent, sitting_on=target)
-    else:  # standup
-        agent = replace(agent, sitting_on=None)
-    return WorldState(state.rooms, objects, agent, state.step + 1)
+    return after
 
 
 def legal_actions(state: WorldState) -> List[Action]:
@@ -387,7 +365,7 @@ def load_scene(text: str) -> WorldState:
     close = frozenset(_as_str_list(agent_doc.get("close", []), "agent.close"))
     held = frozenset(_as_str_list(agent_doc.get("held", []), "agent.held"))
     agent = AgentState(room=_ident(agent_doc["room"], "agent room"), close=close, held=held, sitting_on=None)
-    state = WorldState(rooms, objects, agent, step=0)
+    state = WorldState(rooms, objects, agent)
     validate_state(state)
     return state
 
@@ -475,8 +453,6 @@ def validate_state(state: WorldState) -> None:
             raise SchemaError(f"cannot be sitting on {target}")
         if target not in agent.close:
             raise SchemaError("sitting on something out of reach")
-    if state.step < 0:
-        raise SchemaError("negative step counter")
 
 
 def random_scene(seed: int, n_objects: int) -> WorldState:
@@ -515,6 +491,6 @@ def random_scene(seed: int, n_objects: int) -> WorldState:
         )
 
     agent = AgentState(room=rng.choice(room_ids))
-    state = WorldState(rooms, objects, agent, step=0)
+    state = WorldState(rooms, objects, agent)
     validate_state(state)
     return state

@@ -27,7 +27,7 @@ from homelog.engine import BudgetExceeded, FlounderError, SolveConfig, SolveTime
 from homelog.parser import ParseError, parse_program
 from homelog.planner import PlanOptions, UnresolvableTask
 from homelog.program import PredId
-from homelog.world import SchemaError
+from homelog.world import IllegalAction, SchemaError, grab, walk
 from homelog.scenes import SIX_OBJECT_SCENE_JSON
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -317,6 +317,23 @@ def test_plan_from_random_scene(capsys):
     assert len(lines) == 3  # walk, grab, confirmation
 
 
+@pytest.mark.parametrize(
+    "actions, err",
+    [
+        ([grab("remotecontrol1")], "error: plan failed validation: step 0: not close to remotecontrol1\n"),
+        ([walk("remotecontrol1")], "error: plan failed validation\n"),
+    ],
+    ids=["illegal_step", "goal_missed"],
+)
+def test_a_plan_the_simulator_rejects_fails_validation(actions, err, monkeypatch, capsys):
+    # The plan is replayed for real: one has an illegal step, one misses the goal.
+    monkeypatch.setattr(cli, "plan", lambda *args: actions)
+    assert cli_main(["plan", "--scene", "random:7:10", "--task", "grab_remote"]) == EXIT_NO_ANSWER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_plan_unresolvable_task(capsys):
     code = cli_main(["plan", "--scene", "random:2:3", "--task", "sit_on_couch"])
     assert code == EXIT_NO_ANSWER
@@ -435,6 +452,7 @@ def test_internal_error_has_its_own_exit_code(family_file, monkeypatch, capsys):
 
 _FAILURE_ROWS = [
     (UnresolvableTask("couch"), EXIT_NO_ANSWER, "error: "),
+    (IllegalAction("not close to remotecontrol1", 0), EXIT_NO_ANSWER, "error: plan failed validation: "),
     (SolveTimeout("wall-clock limit reached"), EXIT_TIMEOUT, "timeout: "),
     (BudgetExceeded("step budget exhausted"), EXIT_TIMEOUT, "stopped: "),
     (FlounderError("negated call not ground"), EXIT_FLOUNDER, "error: "),
