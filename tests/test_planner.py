@@ -25,6 +25,7 @@ from homelog.planner import (
     plan,
     planning_kb,
 )
+from homelog.parser import parse_query
 from homelog.program import Literal, PredId
 from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
 from homelog.scenes import minimal_scene, six_object_scene
@@ -141,6 +142,14 @@ def test_kb_body_predicates_are_all_resolvable(six_scene):
 
 
 # -- task encoding -------------------------------------------------------------------
+
+
+def test_every_kb_predicate_is_reached_from_a_planning_query():
+    """No rule of the knowledge base is dead: each predicate it defines is
+    called, directly or not, by transform/2 or complete_task/2."""
+    kb = domain_kb()
+    query = parse_query("?- transform(G, P), complete_task(T, P).")
+    assert set(kb.index) <= reachable(build_depgraph(kb, query))
 
 
 def test_catalog_names():
@@ -511,6 +520,34 @@ def test_scene_fact_calls_are_unchanged(scenes, want):
     assert _search_digest(scenes(), keep=keep) == want
 
 
+@pytest.mark.parametrize(
+    "scenes, want",
+    [
+        (
+            lambda: [random_scene(7, 100)],
+            ("d8869c7d4112cf6212c2f66a4bea6a811dbf96b94482ab77f6126d5d1a359299", 132),
+        ),
+        (
+            lambda: [six_object_scene(), random_scene(1, 12), random_scene(2, 40)],
+            ("e16a17bcd44fbbec7644c9a83f14210e508c30b37d96568bdb6c58098e99af18", 396),
+        ),
+    ],
+    ids=["random_7_100", "small_scenes"],
+)
+def test_action_level_search_is_unchanged(scenes, want):
+    """Plans and normalized calls of the search's own steps (each state it
+    expands, each action it picks, checks and applies) and of the scene's
+    fact predicates equal the recorded ones.  The rules that bound the
+    search or name a goal's object may be reworded; the states expanded,
+    the actions tried, in their order, and the plans found may not."""
+    keep = (
+        "call transform(", "call choose_action(", "call legal_action(", "call update(",
+        "call insert_sorted(", "call remove_fluent(",
+        "call type(", "call grabbable(", "call switchable(", "call sittable(",
+    )
+    assert _search_digest(scenes(), keep=keep) == want
+
+
 def test_every_task_plans_shortest_on_a_3000_object_scene():
     scene = random_scene(7, 3000)
     assert not scene.agent.close and not scene.agent.held
@@ -579,8 +616,6 @@ def test_plan_timeout_propagates():
 
 
 def test_complete_task_rules_drive_the_same_search():
-    from homelog.parser import parse_query
-
     program = domain_kb() + state_to_facts(minimal_scene())
     answer = next(solve(program, parse_query("?- complete_task(walk_to_remote, P).")))
     assert format_term(answer.bindings["P"]) == "[walk(remotecontrol1)]"
