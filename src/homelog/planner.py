@@ -100,62 +100,49 @@ class PlanOptions:
 # is a sound visited-set test.  Power is inert: a device stays as the
 # scene's starts_on/1 facts give it until the plan switches it, and the
 # state holds on(X) or off(X) only while it differs from how it started;
-# powered/2 alone reads power.  within_reach/3 is an admissible lower
+# powered/2 alone reads power.  goal_object/2 names the object a goal
+# fluent needs the agent close to.  needed_steps/3 is an admissible lower
 # bound on the number of actions still needed, expressed structurally
 # (one plan slot per needed action) so no arithmetic is required; it
 # prunes branches whose remaining action slots cannot possibly suffice,
 # which is what makes bounded-depth search tractable in large scenes.
 DOMAIN_KB_TEXT = """\
-% state access
-initial_state(List) :- close_to_character(List).
-
 % plan search
 transform(FinalState, Plan) :-
-    initial_state(State1),
+    close_to_character(State1),
     transform(State1, FinalState, [State1], Plan).
 
 transform(State1, FinalState, _, []) :- subset(FinalState, State1).
 transform(State1, State2, Visited, [Action|Actions]) :-
-    within_reach(State1, State2, [Action|Actions]),
+    needed_steps(State2, State1, [Action|Actions]),
     choose_action(Action, State1, State2),
     update(Action, State1, State),
     not member(State, Visited),
     transform(State, State2, [State|Visited], Actions).
 
-% lower bound on the actions still needed: one plan slot per action
-within_reach(State1, State2, Plan) :-
-    missing_goals(State2, State1, Missing),
-    needed_steps(Missing, State1, Plan).
+goal_object(holds(X), X).
+goal_object(on(X), X).
+goal_object(sitting_on(X), X).
 
-missing_goals([], _, []).
-missing_goals([G|Gs], State, Missing) :-
-    member(G, State),
-    missing_goals(Gs, State, Missing).
-missing_goals([G|Gs], State, [G|Missing]) :-
-    not member(G, State),
-    missing_goals(Gs, State, Missing).
-
+% lower bound on the actions still needed: a goal in the state takes no
+% plan slot, a missing goal one slot per action it needs
 needed_steps([], _, _).
-needed_steps([close(_)|Gs], State, [_|Actions]) :-
-    needed_steps(Gs, State, Actions).
-needed_steps([holds(X)|Gs], State, [_|Actions]) :-
-    member(close(X), State),
-    needed_steps(Gs, State, Actions).
-needed_steps([holds(X)|Gs], State, [_,_|Actions]) :-
+needed_steps([G|Gs], State, Slots) :-
+    member(G, State),
+    needed_steps(Gs, State, Slots).
+needed_steps([close(X)|Gs], State, [_|Slots]) :-
     not member(close(X), State),
-    needed_steps(Gs, State, Actions).
-needed_steps([on(X)|Gs], State, [_|Actions]) :-
+    needed_steps(Gs, State, Slots).
+needed_steps([G|Gs], State, [_|Slots]) :-
+    not member(G, State),
+    goal_object(G, X),
     member(close(X), State),
-    needed_steps(Gs, State, Actions).
-needed_steps([on(X)|Gs], State, [_,_|Actions]) :-
+    needed_steps(Gs, State, Slots).
+needed_steps([G|Gs], State, [_,_|Slots]) :-
+    not member(G, State),
+    goal_object(G, X),
     not member(close(X), State),
-    needed_steps(Gs, State, Actions).
-needed_steps([sitting_on(X)|Gs], State, [_|Actions]) :-
-    member(close(X), State),
-    needed_steps(Gs, State, Actions).
-needed_steps([sitting_on(X)|Gs], State, [_,_|Actions]) :-
-    not member(close(X), State),
-    needed_steps(Gs, State, Actions).
+    needed_steps(Gs, State, Slots).
 
 % action choice: goal-directed suggestions first, then any legal action
 choose_action(Action, State1, State2) :-
@@ -166,11 +153,7 @@ choose_action(Action, State1, _) :-
 
 suggest(walk(X), State) :- member(close(X), State).
 suggest(walk(X), State) :-
-    member(holds(X), State), not member(close(X), State).
-suggest(walk(X), State) :-
-    member(on(X), State), not member(close(X), State).
-suggest(walk(X), State) :-
-    member(sitting_on(X), State), not member(close(X), State).
+    goal_object(G, X), member(G, State), not member(close(X), State).
 
 % action legality against the current fluent list
 legal_action(grab(X), State) :-

@@ -278,7 +278,6 @@ def test_cyclic_predicates_of_the_planning_program():
     program = planning_kb() + state_to_facts(six_object_scene())
     want = {
         PredId("member", 2),
-        PredId("missing_goals", 3),
         PredId("needed_steps", 3),
         PredId("remove_fluent", 3),
         PredId("subset", 2),
@@ -293,7 +292,6 @@ def test_descent_positions_of_the_planning_program():
     index = _program_index(planning_kb())
     want = {
         PredId("member", 2): 1,
-        PredId("missing_goals", 3): 0,
         PredId("needed_steps", 3): 0,
         PredId("remove_fluent", 3): 1,
         PredId("subset", 2): 0,
@@ -454,7 +452,7 @@ def test_layering_leaves_the_knowledge_base_index_alone():
 
 @pytest.mark.parametrize(
     "fact",
-    ["transform(a, b).", "member(a, b).", "subset(a, b).", "insert_sorted(a, b, c).", "missing_goals(a, b, c)."],
+    ["transform(a, b).", "member(a, b).", "subset(a, b).", "insert_sorted(a, b, c).", "goal_object(a, b)."],
 )
 def test_facts_that_the_knowledge_base_defines_do_not_layer(fact):
     facts = parse_program("type(a, couch).\n" + fact)
