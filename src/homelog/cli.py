@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
+from dataclasses import replace
 from typing import List, Optional
 
 from .engine import BudgetExceeded, FlounderError, SolveConfig, SolveTimeout, solve
@@ -71,6 +73,15 @@ def _load_scene_arg(value: str) -> WorldState:
     return load_scene(_read_text(value))
 
 
+def _time_left(config: SolveConfig, start: float) -> SolveConfig:
+    """The config with its wall-clock limit counted from `start`, when the
+    command began; a limit already spent is 0.  SolveConfig has checked the
+    limit's range before it is clamped."""
+    if config.wall_timeout is None:
+        return config
+    return replace(config, wall_timeout=max(0.0, start + config.wall_timeout - time.monotonic()))
+
+
 def _solve_config(args: argparse.Namespace) -> SolveConfig:
     trace = None
     if getattr(args, "trace", False):
@@ -100,10 +111,11 @@ def _cmd_parse(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    start = time.monotonic()
     program = parse_program(_read_text(args.file))
     goals = _parse_query_arg(args.query)
     count = 0
-    for answer in solve(program, goals, _solve_config(args)):
+    for answer in solve(program, goals, _time_left(_solve_config(args), start)):
         print(answer)
         count += 1
     if count == 0:
@@ -127,11 +139,12 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    start = time.monotonic()
     scene = _load_scene_arg(args.scene)
     task = TASK_CATALOG[args.task]
     options = PlanOptions(
         max_plan_len=args.max_len,
-        config=SolveConfig(wall_timeout=args.timeout),
+        config=_time_left(SolveConfig(wall_timeout=args.timeout), start),
     )
     actions = plan(scene, task, options)
     if actions is None:

@@ -313,18 +313,18 @@ def plan(
     `engine.layer_facts`), whose solver index is built once per process,
     and `encode_task`'s goal is solved over the result with an exact-length
     action skeleton in place of P for each length 1..max_plan_len in turn,
-    each with what is left of the options' wall-clock limit.  SolveTimeout
-    and BudgetExceeded propagate.
+    each with what is left of the options' wall-clock limit, which counts
+    from this call, so building the facts spends it too.  SolveTimeout and
+    BudgetExceeded propagate.
     """
     options = options or PlanOptions()
+    cfg = options.config
+    deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
     task_goal = encode_task(task, state)
     if task_goal is None:
         return []
     goal_list = task_goal.atom.args[0]
     program = layer_facts(planning_kb(), state_to_facts(state))
-
-    cfg = options.config
-    deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
     for length in range(1, options.max_plan_len + 1):
         if deadline is not None:
             cfg = replace(cfg, wall_timeout=max(0.0, deadline - time.monotonic()))

@@ -1,14 +1,20 @@
 """End-to-end CLI behaviour through cli_main, including exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FAMILY_TEXT
 import homelog.cli as cli
@@ -241,6 +247,31 @@ def test_plan_times_out_when_the_deadline_passes_between_lengths(scene_file, cap
     code = cli_main(["plan", "--scene", scene_file, "--task", "grab_remote", "--timeout", "5"])
     assert code == EXIT_TIMEOUT
     assert capsys.readouterr().err == "timeout: wall-clock limit reached\n"
+
+
+@pytest.mark.parametrize(
+    "command, module, name",
+    [("plan", planner, "state_to_facts"), ("plan", cli, "load_scene"), ("solve", cli, "parse_program")],
+    ids=["plan_facts", "plan_scene", "solve_program"],
+)
+def test_a_timeout_counts_from_the_command_start(command, module, name, scene_file, family_file, capsys, monkeypatch):
+    # The phase before the first solve sleeps past the deadline; the solver
+    # reads the clock on its first step and stops there.
+    real = getattr(module, name)
+
+    def slow(*args):
+        time.sleep(0.2)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, slow)
+    argv = {
+        "plan": ["plan", "--scene", scene_file, "--task", "grab_remote"],
+        "solve": ["solve", family_file, "-q", "parent(X, Y)."],
+    }[command]
+    assert cli_main(argv + ["--timeout", "0.05"]) == EXIT_TIMEOUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "timeout: wall-clock limit reached\n"
 
 
 def test_solve_nested_negation_within_the_step_budget(tmp_path, capsys):
@@ -483,6 +514,139 @@ def test_every_failure_maps_to_one_exit_code_and_prefix(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"{prefix}{failure}\n"
+
+
+# What a command prints as its last stderr line when it fails by returning
+# a code rather than raising: no answer or plan, and argparse's usage error.
+_RETURNED_FAILURES = {EXIT_NO_ANSWER: ("no answers.", "no plan found."), EXIT_USAGE: ("homelog ",)}
+
+_CLAUSES = [
+    "p(a). ", "p(b). ", "q(X) :- p(X). ", "r(X) :- p(X), not q(X). ", "edge(a, b). edge(b, a). ",
+    "path(X, Y) :- edge(X, Y). ", "path(X, Y) :- path(X, Z), edge(Z, Y). ",
+    "nat(z). nat(s(X)) :- nat(X). ", "s(X) :- not t(X). ", "m(L) :- member(x, L). ",
+    "u(X, Y) :- X = f(Y), Y \\= a. ", "% comment\n",
+]
+_BROKEN = ["p(", ")", ":-", "foo bar.", "'", "X.", "1a", "p(X) :- not(not(q(X))).", "[a|", "\\", "9."]
+_QUERIES = [
+    "p(X).", "?- q(X).", "path(a, Y).", "nat(X).", "r(b).", "X = f(X).", "not p(Y).", "s(X).",
+    "p(X), not q(Y).", "m(L).", "member(X, L).", "u(A, B).", "zz(_).",
+]
+_HUGE = "9" * 40
+_BAD_LIMITS = ["-1", "nan", "inf", "-inf", "x", "1e308", _HUGE]
+
+
+def _mostly(usual, rare):
+    """A draw from `usual` three times in four, else from `rare`."""
+    return st.integers(0, 3).flatmap(lambda i: usual if i else rare)
+
+
+@st.composite
+def _program_bytes(draw):
+    parts = draw(st.lists(st.sampled_from(_CLAUSES), max_size=6))
+    if draw(st.integers(0, 2)) == 0:
+        broken = draw(st.sampled_from(_BROKEN) | st.text(max_size=6))
+        parts.insert(draw(st.integers(0, len(parts))), broken)
+    data = "".join(parts).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    if draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])) + data[cut:]
+    return data
+
+
+@st.composite
+def _scene_bytes(draw):
+    """The six-object scene document with up to three faults: a key
+    dropped, a value of the wrong type, a duplicate id, an unknown key, or
+    text that is no JSON object."""
+    doc = json.loads(SIX_OBJECT_SCENE_JSON)
+    wrong = st.sampled_from([3, "", "maybe", None, [], {}, True, "on", "x y", ["ghost"], ["couch1"]])
+    for _ in range(max(0, draw(st.integers(-3, 3)))):
+        kind = draw(st.sampled_from(["drop", "extra", "top", "object", "agent", "duplicate", "room"]))
+        target = doc.get({"object": "objects", "duplicate": "objects", "agent": "agent"}.get(kind, "rooms"))
+        if kind == "drop":
+            doc.pop(draw(st.sampled_from(["rooms", "objects", "agent"])), None)
+        elif kind == "extra":
+            doc["doors"] = []
+        elif kind == "top":
+            doc[draw(st.sampled_from(["rooms", "objects", "agent"]))] = draw(wrong)
+        elif kind in ("object", "duplicate") and isinstance(target, list) and isinstance(target[0], dict):
+            entry = target[0] if kind == "object" else dict(target[0])
+            key = draw(st.sampled_from(["id", "type", "room", "powered", "grabbable", "sittable", "switchable", "size"]))
+            if kind == "duplicate":
+                target.append(entry)
+                entry["id"] = draw(st.sampled_from([target[0].get("id"), "livingroom100", "character0"]))
+            elif draw(st.booleans()):
+                entry.pop(key, None)
+            else:
+                entry[key] = draw(wrong)
+        elif kind == "agent" and isinstance(target, dict):
+            target[draw(st.sampled_from(["room", "close", "held", "mood"]))] = draw(wrong)
+        elif kind == "room" and isinstance(target, list):
+            target.append({"id": draw(st.sampled_from(["livingroom100", "remotecontrol1", "x"])), "type": "bedroom"})
+    text = json.dumps(doc)
+    text = draw(_mostly(st.just(text), st.sampled_from([text[:-1], "[]", "", "{"])))
+    return draw(_mostly(st.just(b""), st.sampled_from([b"\xef\xbb\xbf", b"\xff"]))) + text.encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_command_exits_with_a_documented_code_and_its_prefix(data):
+    """Drawn programs, queries, scene documents and limits, through all
+    five commands: no input is an internal error (exit 5), and every
+    failure's last stderr line carries the prefix of its exit code.  Each
+    run is bounded: solve by a step budget of at most 20,000, plan by a
+    scene of at most 12 objects and a plan length of at most 4, or else
+    either by a timeout of at most 0.05 s."""
+    draw = data.draw
+    command = draw(st.sampled_from(["parse", "solve", "prune", "graph", "plan"]))
+    short = st.sampled_from(["0", "0.05"])
+    timeout = draw(_mostly(st.none(), st.sampled_from(["0", "0.05"] + _BAD_LIMITS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "plan":
+            scene = tmp / "scene.json"
+            scene.write_bytes(draw(_scene_bytes()))
+            random_arg = st.builds("random:{}:{}".format, st.integers(0, 20), st.integers(1, 12))
+            odd_arg = st.sampled_from(["random:0:0", "random:1:-2", "random:1", "random:a:3", "random:1:1e3"])
+            argv = ["plan", "--scene", draw(st.just(str(scene)) | _mostly(random_arg, odd_arg))]
+            argv += ["--task", draw(_mostly(st.sampled_from(sorted(planner.TASK_CATALOG)), st.just("fly")))]
+            max_len = draw(_mostly(st.sampled_from(["1", "2", "4"]), st.sampled_from(["-1", "0", "nan", _HUGE])))
+            argv += ["--max-len", max_len]
+            if max_len == _HUGE:
+                timeout = draw(short)
+        else:
+            path = tmp / "program.pl"
+            path.write_bytes(draw(_program_bytes()))
+            argv = [command, str(draw(_mostly(st.just(path), st.just(tmp / "missing.pl"))))]
+            if command != "parse":
+                argv += ["-q", draw(_mostly(st.sampled_from(_QUERIES), st.sampled_from(["?-", "", "p("]) | st.text(max_size=8)))]
+            if command != "solve":
+                timeout = None
+        if command == "solve":
+            steps = draw(_mostly(st.sampled_from(["300", "20000"]), st.sampled_from(["0"] + _BAD_LIMITS)))
+            argv += ["--steps", steps]
+            if steps == _HUGE:
+                timeout = draw(short)
+            depth = draw(_mostly(st.none(), st.sampled_from(["0", "3"] + _BAD_LIMITS)))
+            argv += [] if depth is None else ["--max-depth", depth]
+            argv += draw(st.sampled_from([[], ["--no-loop-check"], ["--trace"]]))
+        if command in ("prune", "graph"):
+            flag = "-o" if command == "prune" else "--dot"
+            argv += draw(st.sampled_from([[], [flag, str(tmp / "out")], [flag, str(tmp / "no" / "out")]]))
+        if timeout is not None:
+            argv += ["--timeout", timeout]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    documented = (EXIT_OK, EXIT_NO_ANSWER, EXIT_USAGE, EXIT_TIMEOUT, EXIT_PARSE, EXIT_FLOUNDER)
+    assert code in documented, (argv, err.getvalue()[-300:])
+    if code != EXIT_OK:
+        prefixes = tuple(p for _, c, p in _FAILURE_ROWS if c == code) + _RETURNED_FAILURES.get(code, ())
+        last = err.getvalue().splitlines()[-1]
+        assert last.startswith(prefixes), (argv, last)
 
 
 def _run_module(*args):
