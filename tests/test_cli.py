@@ -571,16 +571,15 @@ def _scene_bytes(draw):
             doc["doors"] = []
         elif kind == "top":
             doc[draw(st.sampled_from(["rooms", "objects", "agent"]))] = draw(wrong)
-        elif kind in ("object", "duplicate") and isinstance(target, list) and isinstance(target[0], dict):
-            entry = target[0] if kind == "object" else dict(target[0])
+        elif kind == "duplicate" and isinstance(target, list) and target and isinstance(target[0], dict):
+            twin_id = draw(st.sampled_from([target[0].get("id"), "livingroom100", "character0"]))
+            target.append({**target[0], "id": twin_id})
+        elif kind == "object" and isinstance(target, list) and target and isinstance(target[0], dict):
             key = draw(st.sampled_from(["id", "type", "room", "powered", "grabbable", "sittable", "switchable", "size"]))
-            if kind == "duplicate":
-                target.append(entry)
-                entry["id"] = draw(st.sampled_from([target[0].get("id"), "livingroom100", "character0"]))
-            elif draw(st.booleans()):
-                entry.pop(key, None)
+            if draw(st.booleans()):
+                target[0].pop(key, None)
             else:
-                entry[key] = draw(wrong)
+                target[0][key] = draw(wrong)
         elif kind == "agent" and isinstance(target, dict):
             target[draw(st.sampled_from(["room", "close", "held", "mood"]))] = draw(wrong)
         elif kind == "room" and isinstance(target, list):
@@ -596,9 +595,9 @@ def test_every_command_exits_with_a_documented_code_and_its_prefix(data):
     """Drawn programs, queries, scene documents and limits, through all
     five commands: no input is an internal error (exit 5), and every
     failure's last stderr line carries the prefix of its exit code.  Each
-    run is bounded: solve by a step budget of at most 20,000, plan by a
-    scene of at most 12 objects and a plan length of at most 4, or else
-    either by a timeout of at most 0.05 s."""
+    run is bounded: solve by a step budget of at most 20,000 and plan by a
+    scene of at most 12 objects and a plan length of at most 4, or else by
+    a timeout of at most 0.05 s."""
     draw = data.draw
     command = draw(st.sampled_from(["parse", "solve", "prune", "graph", "plan"]))
     short = st.sampled_from(["0", "0.05"])

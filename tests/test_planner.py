@@ -10,6 +10,7 @@ import pytest
 from conftest import bfs_plan_length
 from homelog import engine, planner
 from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve, solve_all
+from homelog.parser import parse_query
 from homelog.planner import (
     BENCH_TASK_NAMES,
     DOMAIN_KB_TEXT,
@@ -25,7 +26,6 @@ from homelog.planner import (
     plan,
     planning_kb,
 )
-from homelog.parser import parse_query
 from homelog.program import Literal, PredId
 from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
 from homelog.scenes import minimal_scene, six_object_scene
@@ -143,15 +143,15 @@ def test_kb_body_predicates_are_all_resolvable(six_scene):
             assert lit.pred in known, f"{lit.pred} in clause for {clause.head_pred}"
 
 
-# -- task encoding -------------------------------------------------------------------
-
-
 def test_every_kb_predicate_is_reached_from_a_planning_query():
     """No rule of the knowledge base is dead: each predicate it defines is
     called, directly or not, by transform/2 or complete_task/2."""
     kb = domain_kb()
     query = parse_query("?- transform(G, P), complete_task(T, P).")
     assert set(kb.index) <= reachable(build_depgraph(kb, query))
+
+
+# -- task encoding -------------------------------------------------------------------
 
 
 def test_catalog_names():
