@@ -242,7 +242,7 @@ class _Parser:
     def parse_clause(self) -> Clause:
         head = self.parse_term()
         self.check_callable(head)
-        if self.is_builtin_follow() or pred_of(head).name in BUILTIN_FUNCTORS:
+        if self.is_builtin_follow():
             raise self.fail("clause heads cannot use builtins")
         body: Tuple[Literal, ...] = ()
         if self.toks[self.pos] == ":-":

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .engine import SolveConfig, layer_facts, solve
+from .engine import SolveConfig, SolveTimeout, layer_facts, solve
 from .parser import parse_program
 from .program import Literal, Program
 from .relevance import prune_program
@@ -314,12 +314,15 @@ def plan(
     and `encode_task`'s goal is solved over the result with an exact-length
     action skeleton in place of P for each length 1..max_plan_len in turn,
     each with what is left of the options' wall-clock limit, which counts
-    from this call, so building the facts spends it too.  SolveTimeout and
-    BudgetExceeded propagate.
+    from this call, so building the facts spends it too.  A limit already
+    spent raises SolveTimeout before the task is resolved or a fact built.
+    SolveTimeout and BudgetExceeded propagate.
     """
     options = options or PlanOptions()
     cfg = options.config
     deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
+    if cfg.wall_timeout == 0:  # spent already: the deadline is now
+        raise SolveTimeout("wall-clock limit reached")
     task_goal = encode_task(task, state)
     if task_goal is None:
         return []

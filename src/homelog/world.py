@@ -26,12 +26,6 @@ __all__ = [
     "AgentState",
     "WorldState",
     "Action",
-    "walk",
-    "grab",
-    "switchon",
-    "switchoff",
-    "sit",
-    "standup",
     "action_term",
     "action_from_term",
     "legal",
@@ -121,30 +115,6 @@ class Action:
 
     def __str__(self) -> str:
         return self.name if self.target is None else f"{self.name}({self.target})"
-
-
-def walk(target: str) -> Action:
-    return Action("walk", target)
-
-
-def grab(target: str) -> Action:
-    return Action("grab", target)
-
-
-def switchon(target: str) -> Action:
-    return Action("switchon", target)
-
-
-def switchoff(target: str) -> Action:
-    return Action("switchoff", target)
-
-
-def sit(target: str) -> Action:
-    return Action("sit", target)
-
-
-def standup() -> Action:
-    return Action("standup")
 
 
 ACTION_NAMES = ("walk", "grab", "switchon", "switchoff", "sit", "standup")
@@ -247,12 +217,12 @@ def legal_actions(state: WorldState) -> List[Action]:
     """Every action legal in the state (used by search oracles and fuzzing)."""
     out: List[Action] = []
     for obj_id in sorted(state.objects):
-        for ctor in (walk, grab, switchon, switchoff, sit):
-            a = ctor(obj_id)
+        for name in ACTION_NAMES[:-1]:  # all but standup, which takes no target
+            a = Action(name, obj_id)
             if legal(state, a)[0]:
                 out.append(a)
-    if legal(state, standup())[0]:
-        out.append(standup())
+    if legal(state, Action("standup"))[0]:
+        out.append(Action("standup"))
     return out
 
 

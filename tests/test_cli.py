@@ -33,8 +33,8 @@ from homelog.engine import BudgetExceeded, FlounderError, SolveConfig, SolveTime
 from homelog.parser import ParseError, parse_program
 from homelog.planner import PlanOptions, UnresolvableTask
 from homelog.program import PredId
-from homelog.world import IllegalAction, SchemaError, grab, walk
-from homelog.scenes import SIX_OBJECT_SCENE_JSON
+from homelog.world import Action, IllegalAction, SchemaError
+from homelog.scenes import MINIMAL_SCENE_JSON, SIX_OBJECT_SCENE_JSON
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -138,6 +138,13 @@ def test_floundering_exits_apart_from_no_answers(tmp_path, capsys):
     assert code not in (EXIT_OK, EXIT_NO_ANSWER, EXIT_USAGE, EXIT_TIMEOUT, EXIT_PARSE, EXIT_INTERNAL)
     assert "error: negated call not ground: not p(" in capsys.readouterr().err
     assert f"{EXIT_FLOUNDER} floundering" in " ".join(README.read_text(encoding="utf-8").split())
+
+
+def test_insert_sorted_on_a_non_list_flounders(family_file, capsys):
+    assert cli_main(["solve", family_file, "-q", "insert_sorted(a, b, L)."]) == EXIT_FLOUNDER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: insert_sorted/3 needs a proper list\n"
 
 
 def test_solve_budget_exit_code(family_file, capsys):
@@ -274,6 +281,27 @@ def test_a_timeout_counts_from_the_command_start(command, module, name, scene_fi
     assert captured.err == "timeout: wall-clock limit reached\n"
 
 
+@pytest.mark.parametrize(
+    "held, task, unlimited",
+    [(["remotecontrol1"], "grab_remote", EXIT_OK), ([], "grab_remote_and_shirt", EXIT_NO_ANSWER)],
+    ids=["goal_already_satisfied", "unresolvable_task"],
+)
+def test_plan_with_a_zero_timeout_stops_before_resolving_the_task(tmp_path, capsys, held, task, unlimited):
+    # No solve runs on either: the goal holds at the start, or the minimal
+    # scene has no shirt.  Only plan's check on entry can stop them.
+    doc = json.loads(MINIMAL_SCENE_JSON)
+    doc["agent"].update(close=held, held=held)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["plan", "--scene", str(path), "--task", task]
+    assert cli_main(argv) == unlimited
+    capsys.readouterr()
+    assert cli_main(argv + ["--timeout", "0"]) == EXIT_TIMEOUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "timeout: wall-clock limit reached\n"
+
+
 def test_solve_nested_negation_within_the_step_budget(tmp_path, capsys):
     # 24 nested negations once ran out of a step budget halved per level.
     path = tmp_path / "even.pl"
@@ -351,8 +379,11 @@ def test_plan_from_random_scene(capsys):
 @pytest.mark.parametrize(
     "actions, err",
     [
-        ([grab("remotecontrol1")], "error: plan failed validation: step 0: not close to remotecontrol1\n"),
-        ([walk("remotecontrol1")], "error: plan failed validation\n"),
+        (
+            [Action("grab", "remotecontrol1")],
+            "error: plan failed validation: step 0: not close to remotecontrol1\n",
+        ),
+        ([Action("walk", "remotecontrol1")], "error: plan failed validation\n"),
     ],
     ids=["illegal_step", "goal_missed"],
 )

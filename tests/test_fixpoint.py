@@ -95,6 +95,12 @@ def test_unbound_rule_head_unsupported():
         fixpoint_eval(parse_program("p(a). q(X, Y) :- p(X)."))
 
 
+def test_non_ground_disequality_unsupported():
+    # Y is bound by no body literal, so `X \= Y` cannot be decided.
+    with pytest.raises(OracleUnsupported, match=r"non-ground \\= during bottom-up evaluation"):
+        fixpoint_eval(parse_program("q(a). p(X) :- q(X), X \\= Y."))
+
+
 def test_zero_arity_predicates():
     derived = fixpoint_eval(parse_program("raining. wet :- raining."))
     assert Const("wet") in derived

@@ -131,6 +131,22 @@ def test_clause_cannot_define_a_builtin():
         Clause(Struct("\\=", (Var("X"), Const("a"))), (Literal(Struct("q", (Var("X"),))),))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pred_of(Const(3)), "not a callable atom: Const(3)"),
+        (lambda: Literal(Var("X")), "a variable is not a literal"),
+        (lambda: Literal(Struct("=", (Var("X"), Const("a"))), negated=True),
+         "builtins cannot appear under not"),
+    ],
+    ids=["integer_atom", "variable_literal", "negated_equality"],
+)
+def test_atoms_and_literals_reject_what_cannot_be_called(build, message):
+    with pytest.raises(ValueError) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_comments_and_whitespace():
     p = parse_program("% a comment\nfoo(a).  % trailing\n\n  bar(b).\n")
     assert len(p) == 2
@@ -232,14 +248,33 @@ def test_end_of_input_is_reported_after_a_trailing_comment(text, column):
         ("p(a) X.", "got var 'X'", 1, 6),
         ("p(a) :- (.", "got punct '('", 1, 9),
         ("p(a) :-", "got end of input", 1, 8),
+        ("p([", "unterminated list", 1, 4),
+        ("p([a b]).", "unterminated list, got atom 'b'", 1, 6),
+        ("p :- not q = r.", "builtins cannot appear under not", 1, 12),
+        ("a = b.", "clause heads cannot use builtins", 1, 3),
     ],
     ids=["line_3", "first_bad_character", "int_then_atom", "form_feed", "vertical_tab",
-         "no_break_space", "int", "var", "punct", "end_of_input"],
+         "no_break_space", "int", "var", "punct", "end_of_input", "open_list", "list_without_comma",
+         "builtin_under_not", "builtin_after_head"],
 )
 def test_lexical_errors_report_message_line_and_column(text, message, line, column):
     with pytest.raises(ParseError) as e:
         parse_program(text)
     assert (e.value.message, e.value.line, e.value.column) == (message, line, column)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, column",
+    [
+        (parse_query, "?- p. q", "trailing input after query: atom 'q'", 7),
+        (parse_term_text, "a b", "trailing input after term: atom 'b'", 3),
+    ],
+    ids=["query", "term"],
+)
+def test_trailing_input_is_rejected(parse, text, message, column):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.message, e.value.line, e.value.column) == (message, 1, column)
 
 
 def test_words_are_read_by_their_first_character():

@@ -31,17 +31,16 @@ from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reac
 from homelog.scenes import minimal_scene, six_object_scene
 from homelog.terms import Const, Struct, Var, format_term, list_parts, make_list, variant_key
 from homelog.world import (
+    Action,
     IllegalAction,
+    action_from_term,
     action_term,
     fluent_list,
-    grab,
     legal,
     load_scene,
     random_scene,
     scene_to_dict,
-    sit,
     state_to_facts,
-    walk,
 )
 
 
@@ -109,7 +108,7 @@ def test_kb_walks_to_an_object_of_type_character_as_the_simulator_does():
         "objects": [{"id": "character1", "type": "character", "room": "livingroom1"}],
         "agent": {"room": "livingroom1"},
     }))
-    action = walk("character1")
+    action = Action("walk", "character1")
     assert legal(scene, action) == (True, "")
     goal = Literal(Struct("legal_action", (action_term(action), make_list(fluent_list(scene)))))
     answers, status = solve_all(domain_kb() + state_to_facts(scene), [goal])
@@ -198,7 +197,7 @@ def test_goal_satisfied_flips_after_walking():
     s = minimal_scene()
     task = TASK_CATALOG["walk_to_remote"]
     assert not goal_satisfied(s, task)
-    s = execute_plan(s, [walk("remotecontrol1")])
+    s = execute_plan(s, [Action("walk", "remotecontrol1")])
     assert goal_satisfied(s, task)
 
 
@@ -208,11 +207,13 @@ def test_execute_plan_empty_is_identity(six_scene):
 
 def test_execute_plan_reports_failing_index(six_scene):
     with pytest.raises(IllegalAction) as e:
-        execute_plan(six_scene, [grab("remotecontrol1")])
+        execute_plan(six_scene, [Action("grab", "remotecontrol1")])
     assert e.value.index == 0
     assert "not close" in str(e.value)
     with pytest.raises(IllegalAction) as e:
-        execute_plan(six_scene, [walk("couch1"), sit("couch1"), sit("couch1")])
+        execute_plan(
+            six_scene, [Action("walk", "couch1"), Action("sit", "couch1"), Action("sit", "couch1")]
+        )
     assert e.value.index == 2
 
 
@@ -220,18 +221,18 @@ def test_execute_plan_reports_failing_index(six_scene):
 
 
 def test_plan_minimal_walk():
-    assert plan(minimal_scene(), TASK_CATALOG["walk_to_remote"]) == [walk("remotecontrol1")]
+    assert plan(minimal_scene(), TASK_CATALOG["walk_to_remote"]) == [Action("walk", "remotecontrol1")]
 
 
 def test_plan_minimal_grab():
     assert plan(minimal_scene(), TASK_CATALOG["grab_remote"]) == [
-        walk("remotecontrol1"),
-        grab("remotecontrol1"),
+        Action("walk", "remotecontrol1"),
+        Action("grab", "remotecontrol1"),
     ]
 
 
 def test_plan_already_satisfied_is_empty(six_scene):
-    s = execute_plan(six_scene, [walk("remotecontrol1")])
+    s = execute_plan(six_scene, [Action("walk", "remotecontrol1")])
     assert plan(s, TASK_CATALOG["walk_to_remote"]) == []
 
 
@@ -247,9 +248,12 @@ def test_plan_unresolvable_task_raises():
 
 def test_plan_frozen_sequences(six_scene):
     got = plan(six_scene, TASK_CATALOG["grab_cellphone_and_sit_on_couch"])
-    assert got == [walk("cellphone1"), grab("cellphone1"), walk("couch1"), sit("couch1")]
+    assert got == [
+        Action("walk", "cellphone1"), Action("grab", "cellphone1"),
+        Action("walk", "couch1"), Action("sit", "couch1"),
+    ]
     got = plan(six_scene, TASK_CATALOG["sit_on_couch"])
-    assert got == [walk("couch1"), sit("couch1")]
+    assert got == [Action("walk", "couch1"), Action("sit", "couch1")]
 
 
 @pytest.mark.parametrize("task_name", sorted(TASK_CATALOG))
@@ -617,10 +621,34 @@ def test_plan_timeout_propagates():
         plan(scene, TASK_CATALOG["grab_remote_and_shirt"], options)
 
 
+def test_plan_with_a_spent_limit_builds_no_facts(six_scene, monkeypatch):
+    def no_facts(state):
+        raise AssertionError("facts built after the limit was spent")
+
+    monkeypatch.setattr(planner, "state_to_facts", no_facts)
+    options = PlanOptions(config=SolveConfig(wall_timeout=0))
+    with pytest.raises(SolveTimeout, match="wall-clock limit reached"):
+        plan(six_scene, TASK_CATALOG["grab_remote"], options)
+
+
 def test_complete_task_rules_drive_the_same_search():
     program = domain_kb() + state_to_facts(minimal_scene())
     answer = next(solve(program, parse_query("?- complete_task(walk_to_remote, P).")))
     assert format_term(answer.bindings["P"]) == "[walk(remotecontrol1)]"
+
+
+@pytest.mark.parametrize(
+    "task, length", [("grab_remote_and_shirt", 5), ("grab_cellphone_and_sit_on_couch", 20)]
+)
+def test_complete_task_with_an_unbound_plan_is_depth_first(six_scene, task, length):
+    # README's example: without a skeleton the first answer need not be
+    # shortest (4 actions suffice for either task), but it replays.
+    program = domain_kb() + state_to_facts(six_scene)
+    answer = next(solve(program, parse_query(f"?- complete_task({task}, P).")))
+    terms, tail = list_parts(answer.bindings["P"])
+    assert tail == Const("[]") and len(terms) == length
+    actions = [action_from_term(t) for t in terms]
+    assert goal_satisfied(execute_plan(six_scene, actions), TASK_CATALOG[task])
 
 
 def test_plan_options_validate():

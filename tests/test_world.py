@@ -22,19 +22,13 @@ from homelog.world import (
     action_term,
     apply_action,
     fluent_list,
-    grab,
     legal,
     legal_actions,
     load_scene,
     random_scene,
     scene_to_dict,
-    sit,
-    standup,
     state_to_facts,
-    switchoff,
-    switchon,
     validate_state,
-    walk,
 )
 
 
@@ -129,6 +123,15 @@ def test_scene_round_trips_through_dict(six_scene):
          "object room must be a lowercase identifier"),
         (lambda d: d["agent"].update(room={"id": "livingroom100"}),
          "agent room must be a lowercase identifier"),
+        (lambda d: d.update(rooms=[]), "a scene needs at least one room"),
+        (lambda d: d.update(rooms="r1"), "rooms must be a list of objects"),
+        (lambda d: d.update(agent=[]), "agent entry must be an object"),
+        (lambda d: d["objects"][0].update(powered="dim"), "cellphone1.powered must be on/off/none"),
+        (lambda d: d["objects"][0].update(grabbable="yes"), "cellphone1.grabbable must be a boolean"),
+        (lambda d: d["agent"].update(close="couch1"), "agent.close must be a list of ids"),
+        (lambda d: d["agent"].update(close=["shirt1"]), "close object shirt1 is in another room"),
+        (lambda d: d["agent"].update(close=["couch1"], held=["couch1"]),
+         "held object couch1 is not grabbable"),
     ],
 )
 def test_bad_scenes_are_rejected(six_scene, mutate, message):
@@ -153,6 +156,18 @@ def test_validate_state_checks_power_on_states_built_in_code(six_scene, obj_id, 
     objects[obj_id] = dataclasses.replace(objects[obj_id], powered=powered)
     with pytest.raises(SchemaError) as e:
         validate_state(dataclasses.replace(six_scene, objects=objects))
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize(
+    "close, sitting_on, message",
+    [(["tv1"], "tv1", "cannot be sitting on tv1"), ([], "couch1", "sitting on something out of reach")],
+    ids=["not_sittable", "out_of_reach"],
+)
+def test_validate_state_checks_what_the_agent_sits_on(six_scene, close, sitting_on, message):
+    agent = dataclasses.replace(six_scene.agent, close=frozenset(close), sitting_on=sitting_on)
+    with pytest.raises(SchemaError) as e:
+        validate_state(dataclasses.replace(six_scene, agent=agent))
     assert str(e.value) == message
 
 
@@ -181,104 +196,105 @@ def test_held_must_fit_in_two_hands():
 
 
 def test_walk_establishes_closeness(six_scene):
-    ok, _ = legal(six_scene, walk("remotecontrol1"))
+    ok, _ = legal(six_scene, Action("walk", "remotecontrol1"))
     assert ok
-    s = apply_action(six_scene, walk("remotecontrol1"))
+    s = apply_action(six_scene, Action("walk", "remotecontrol1"))
     assert s.agent.close == {"remotecontrol1"}
     assert s.agent.room == "livingroom100"
 
 
 def test_walk_changes_room(six_scene):
-    s = apply_action(six_scene, walk("shirt1"))
+    s = apply_action(six_scene, Action("walk", "shirt1"))
     assert s.agent.room == "bedroom101"
     assert s.agent.close == {"shirt1"}
 
 
 def test_walk_to_a_close_object_is_illegal(six_scene):
-    s = apply_action(six_scene, walk("tv1"))
-    ok, reason = legal(s, walk("tv1"))
+    s = apply_action(six_scene, Action("walk", "tv1"))
+    ok, reason = legal(s, Action("walk", "tv1"))
     assert not ok and "already close" in reason
 
 
 def test_walk_needs_a_known_object(six_scene):
-    ok, reason = legal(six_scene, walk("unicorn1"))
+    ok, reason = legal(six_scene, Action("walk", "unicorn1"))
     assert not ok and "no object" in reason
-    ok, reason = legal(six_scene, walk("livingroom100"))
+    ok, reason = legal(six_scene, Action("walk", "livingroom100"))
     assert not ok
-    ok, reason = legal(six_scene, walk("character0"))
+    ok, reason = legal(six_scene, Action("walk", "character0"))
     assert not ok
 
 
 def test_grab_requires_closeness(six_scene):
-    ok, reason = legal(six_scene, grab("remotecontrol1"))
+    ok, reason = legal(six_scene, Action("grab", "remotecontrol1"))
     assert not ok and "not close" in reason
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"))
+    s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"))
     assert s.agent.held == {"remotecontrol1"}
 
 
 def test_grab_requires_grabbable(six_scene):
-    s = apply_action(six_scene, walk("couch1"))
-    ok, reason = legal(s, grab("couch1"))
+    s = apply_action(six_scene, Action("walk", "couch1"))
+    ok, reason = legal(s, Action("grab", "couch1"))
     assert not ok and "not grabbable" in reason
 
 
 def test_grab_twice_is_illegal(six_scene):
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"))
-    ok, reason = legal(s, grab("remotecontrol1"))
+    s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"))
+    ok, reason = legal(s, Action("grab", "remotecontrol1"))
     assert not ok and "already holding" in reason
 
 
 def test_two_hands_max(six_scene):
     s = run(
         six_scene,
-        walk("remotecontrol1"), grab("remotecontrol1"),
-        walk("cellphone1"), grab("cellphone1"),
-        walk("shirt1"),
+        Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
+        Action("walk", "cellphone1"), Action("grab", "cellphone1"),
+        Action("walk", "shirt1"),
     )
     assert s.agent.held == {"remotecontrol1", "cellphone1"}
-    ok, reason = legal(s, grab("shirt1"))
+    ok, reason = legal(s, Action("grab", "shirt1"))
     assert not ok and "hands are full" in reason
 
 
 def test_held_objects_travel(six_scene):
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"), walk("shirt1"))
+    s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
+            Action("walk", "shirt1"))
     assert s.objects["remotecontrol1"].room == "bedroom101"
     assert s.agent.close == {"shirt1", "remotecontrol1"}
     assert s.agent.held == {"remotecontrol1"}
 
 
 def test_switch_round_trip(six_scene):
-    s = apply_action(six_scene, walk("lamp1"))
-    ok, reason = legal(s, switchoff("lamp1"))
+    s = apply_action(six_scene, Action("walk", "lamp1"))
+    ok, reason = legal(s, Action("switchoff", "lamp1"))
     assert not ok and "not on" in reason
-    s = apply_action(s, switchon("lamp1"))
+    s = apply_action(s, Action("switchon", "lamp1"))
     assert s.objects["lamp1"].powered == "on"
-    ok, reason = legal(s, switchon("lamp1"))
+    ok, reason = legal(s, Action("switchon", "lamp1"))
     assert not ok and "not off" in reason
-    s = apply_action(s, switchoff("lamp1"))
+    s = apply_action(s, Action("switchoff", "lamp1"))
     assert s.objects["lamp1"].powered == "off"
 
 
 def test_switching_needs_a_switchable_target(six_scene):
-    s = apply_action(six_scene, walk("shirt1"))
-    ok, reason = legal(s, switchon("shirt1"))
+    s = apply_action(six_scene, Action("walk", "shirt1"))
+    ok, reason = legal(s, Action("switchon", "shirt1"))
     assert not ok and "not switchable" in reason
 
 
 def test_sit_and_standup(six_scene):
-    s = run(six_scene, walk("couch1"), sit("couch1"))
+    s = run(six_scene, Action("walk", "couch1"), Action("sit", "couch1"))
     assert s.agent.sitting_on == "couch1"
-    ok, reason = legal(s, sit("couch1"))
+    ok, reason = legal(s, Action("sit", "couch1"))
     assert not ok and "already sitting" in reason
-    ok, reason = legal(s, grab("couch1"))
+    ok, reason = legal(s, Action("grab", "couch1"))
     assert not ok
-    s = apply_action(s, standup())
+    s = apply_action(s, Action("standup"))
     assert s.agent.sitting_on is None
 
 
 def test_walking_away_stands_up(six_scene):
-    s = run(six_scene, walk("couch1"), sit("couch1"))
-    s2 = apply_action(s, walk("lamp1"))
+    s = run(six_scene, Action("walk", "couch1"), Action("sit", "couch1"))
+    s2 = apply_action(s, Action("walk", "lamp1"))
     assert s2.agent.sitting_on is None
 
 
@@ -290,18 +306,16 @@ def test_sitting_blocks_grab():
                      "grabbable": True, "sittable": True}],
         "agent": {"room": "livingroom100"},
     })
-    s = run(load_scene(text), walk("beanbag1"), sit("beanbag1"))
-    ok, reason = legal(s, grab("beanbag1"))
+    s = run(load_scene(text), Action("walk", "beanbag1"), Action("sit", "beanbag1"))
+    ok, reason = legal(s, Action("grab", "beanbag1"))
     assert not ok and "while sitting" in reason
-    s = apply_action(s, standup())
-    assert legal(s, grab("beanbag1"))[0]
+    s = apply_action(s, Action("standup"))
+    assert legal(s, Action("grab", "beanbag1"))[0]
 
 
 def test_standup_rules(six_scene):
-    ok, reason = legal(six_scene, standup())
+    ok, reason = legal(six_scene, Action("standup"))
     assert not ok and "not sitting" in reason
-    from homelog.world import Action
-
     ok, reason = legal(six_scene, Action("standup", "couch1"))
     assert not ok and "no target" in reason
     ok, reason = legal(six_scene, Action("dance", "couch1"))
@@ -310,14 +324,14 @@ def test_standup_rules(six_scene):
 
 def test_apply_illegal_action_raises(six_scene):
     with pytest.raises(IllegalAction) as e:
-        apply_action(six_scene, grab("remotecontrol1"))
+        apply_action(six_scene, Action("grab", "remotecontrol1"))
     assert "not close" in str(e.value)
 
 
 def test_legal_actions_in_start_state(six_scene):
     # Nothing is close yet, so the only legal moves are the six walks.
     got = legal_actions(six_scene)
-    assert got == [walk(x) for x in sorted(six_scene.objects)]
+    assert got == [Action("walk", x) for x in sorted(six_scene.objects)]
 
 
 def test_legal_actions_agree_with_legal(six_scene):
@@ -333,12 +347,12 @@ def test_legal_actions_agree_with_legal(six_scene):
 
 
 def test_action_term_round_trip():
-    for a in (walk("tv1"), grab("mug2"), switchon("lamp1"), switchoff("lamp1"),
-              sit("couch1"), standup()):
+    for a in (Action("walk", "tv1"), Action("grab", "mug2"), Action("switchon", "lamp1"),
+              Action("switchoff", "lamp1"), Action("sit", "couch1"), Action("standup")):
         assert action_from_term(action_term(a)) == a
-    assert format_term(action_term(walk("tv1"))) == "walk(tv1)"
-    assert format_term(action_term(standup())) == "standup"
-    assert str(walk("tv1")) == "walk(tv1)"
+    assert format_term(action_term(Action("walk", "tv1"))) == "walk(tv1)"
+    assert format_term(action_term(Action("standup"))) == "standup"
+    assert str(Action("walk", "tv1")) == "walk(tv1)"
 
 
 def test_action_from_term_rejects_junk():
@@ -354,8 +368,8 @@ def test_action_from_term_rejects_junk():
 
 
 def test_fluent_list_is_sorted_and_duplicate_free(six_scene):
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"),
-            walk("couch1"), sit("couch1"))
+    s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
+            Action("walk", "couch1"), Action("sit", "couch1"))
     texts = [format_term(t) for t in fluent_list(s)]
     assert texts == sorted(texts)
     assert len(texts) == len(set(texts))
@@ -391,7 +405,8 @@ def test_state_to_facts_contents(six_scene):
 
 
 def test_state_to_facts_tracks_the_current_fluents(six_scene):
-    s = run(six_scene, walk("remotecontrol1"), grab("remotecontrol1"), switchon("remotecontrol1"))
+    s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
+            Action("switchon", "remotecontrol1"))
     text = format_program(state_to_facts(s))
     assert "close_to_character([close(remotecontrol1), holds(remotecontrol1)])." in text
     assert "starts_on(remotecontrol1).\nstarts_on(tv1)." in text
@@ -407,7 +422,7 @@ def test_state_to_facts_round_trips_through_the_parser(six_scene):
 def test_state_to_facts_builds_the_clauses_the_constructor_builds(seed, n_objects):
     s = random_scene(seed, n_objects)
     remote = min(i for i, o in s.objects.items() if o.type == "remotecontrol")
-    s = run(s, walk(remote), grab(remote))
+    s = run(s, Action("walk", remote), Action("grab", remote))
     facts = state_to_facts(s)
     assert len(facts) > n_objects
     for fact in facts:
