@@ -19,7 +19,7 @@ from .engine import SolveConfig, SolveTimeout, layer_facts, solve
 from .parser import parse_program
 from .program import Literal, Program
 from .relevance import prune_program
-from .terms import Const, Struct, Term, Var, format_term, make_list
+from .terms import Struct, Term, Var, format_term, make_list
 from .world import (
     Action,
     IllegalAction,
@@ -261,16 +261,15 @@ def encode_goal_fluents(task: Task, state: WorldState) -> List[Term]:
     """Resolve the task's goal template against the scene.
 
     Each (functor, object type) pair becomes a ground fluent over the
-    smallest matching object id; the result is canonically sorted.
+    smallest matching object id, read from the scene layout's ids of that
+    type; the result is canonically sorted.
     """
+    ids_by_type = state.layout.ids_by_type
     fluents = []
     for functor, type_name in task.goal_template:
-        candidates = sorted(
-            obj_id for obj_id, obj in state.objects.items() if obj.type == type_name
-        )
-        if not candidates:
+        if type_name not in ids_by_type:
             raise UnresolvableTask(type_name)
-        fluents.append(Struct(functor, (Const(candidates[0]),)))
+        fluents.append(Struct(functor, (ids_by_type[type_name][0],)))
     return sorted(set(fluents), key=format_term)
 
 

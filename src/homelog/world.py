@@ -5,14 +5,16 @@ switchon, switchoff, sit, standup) over objects with four boolean-ish
 properties.  States are values; applying an action returns a new state.
 The same state can be rendered as logic-program facts so that the native
 rules here and the planning knowledge base stay checkable against each
-other.
+other.  No action changes an object's id, type or flags, so a scene's
+static facts are built once, on first use, and every successor state
+shares them (see `SceneLayout`).
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .program import Clause, Program
@@ -24,6 +26,7 @@ __all__ = [
     "IllegalAction",
     "ObjectInfo",
     "AgentState",
+    "SceneLayout",
     "WorldState",
     "Action",
     "action_term",
@@ -101,11 +104,43 @@ class AgentState:
     sitting_on: Optional[str] = None
 
 
+@dataclass(frozen=True, slots=True)
+class SceneLayout:
+    """What no action changes: the type/2, switchable/1, grabbable/1 and
+    sittable/1 facts, each type's ids and the switchable ids in id order,
+    all as the facts' own `Const`s, one per name."""
+
+    facts: Program
+    ids_by_type: Dict[str, List[Const]]
+    switchable: Tuple[Const, ...]
+
+    @staticmethod
+    def of(objects: Dict[str, ObjectInfo]) -> "SceneLayout":
+        consts = {v: Const(v) for v in {*objects, *(o.type for o in objects.values())}}
+        objs = [(consts[obj_id], objects[obj_id]) for obj_id in sorted(objects)]
+        ids_by_type: Dict[str, List[Const]] = {}
+        for i, o in objs:
+            ids_by_type.setdefault(o.type, []).append(i)
+        facts = [Clause(Struct("type", (i, consts[o.type]))) for i, o in objs]
+        facts += [Clause(Struct("switchable", (i,))) for i, o in objs if o.switchable]
+        facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
+        facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
+        return SceneLayout(Program(facts), ids_by_type, tuple(i for i, o in objs if o.switchable))
+
+
 @dataclass(frozen=True)
 class WorldState:
     rooms: Dict[str, str]  # room id -> room type
     objects: Dict[str, ObjectInfo]
     agent: AgentState
+    # Built from `objects` on first use; only `_next` hands one on, not `replace`.
+    _layout: Optional[SceneLayout] = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def layout(self) -> SceneLayout:
+        if self._layout is None:
+            object.__setattr__(self, "_layout", SceneLayout.of(self.objects))
+        return self._layout
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +180,13 @@ def action_from_term(t: Term) -> Action:
 # -- legality and effects ------------------------------------------------------
 
 
+def _next(state: WorldState, objects: Dict[str, ObjectInfo], agent: AgentState) -> WorldState:
+    """The successor; it keeps the layout, as no action changes an object's id, type or flags."""
+    after = WorldState(state.rooms, objects, agent)
+    object.__setattr__(after, "_layout", state._layout)
+    return after
+
+
 def _successor(state: WorldState, action: Action) -> Tuple[Optional[WorldState], str]:
     """The action's precondition and effect in one place: the successor
     state, or None and the reason the action may not run."""
@@ -157,7 +199,7 @@ def _successor(state: WorldState, action: Action) -> Tuple[Optional[WorldState],
             return None, "standup takes no target"
         if agent.sitting_on is None:
             return None, "not sitting"
-        return WorldState(state.rooms, objects, replace(agent, sitting_on=None)), ""
+        return _next(state, objects, replace(agent, sitting_on=None)), ""
     if target is None:
         return None, f"{name} needs a target"
     obj = objects.get(target)
@@ -170,7 +212,7 @@ def _successor(state: WorldState, action: Action) -> Tuple[Optional[WorldState],
         if agent.held:
             objects = {**objects, **{i: replace(objects[i], room=obj.room) for i in agent.held}}
         agent = AgentState(obj.room, frozenset({target}) | agent.held, agent.held)
-        return WorldState(state.rooms, objects, agent), ""
+        return _next(state, objects, agent), ""
     if target not in agent.close:
         return None, f"not close to {target}"
     if name == "grab":
@@ -196,7 +238,7 @@ def _successor(state: WorldState, action: Action) -> Tuple[Optional[WorldState],
         if obj.powered != before:
             return None, f"{target} is not {before}"
         objects = {**objects, target: replace(obj, powered=after)}
-    return WorldState(state.rooms, objects, agent), ""
+    return _next(state, objects, agent), ""
 
 
 def legal(state: WorldState, action: Action) -> Tuple[bool, str]:
@@ -240,8 +282,9 @@ def _agent_fluents(state: WorldState) -> List[Term]:
 
 def fluent_list(state: WorldState) -> List[Term]:
     """Current fluents, canonically ordered by their text form, no duplicates."""
+    objects = state.objects
     fluents = _agent_fluents(state)
-    fluents += [Struct("on", (Const(i),)) for i, obj in state.objects.items() if obj.powered == "on"]
+    fluents += [Struct("on", (i,)) for i in state.layout.switchable if objects[i.value].powered == "on"]
     return sorted(fluents, key=format_term)
 
 
@@ -252,27 +295,15 @@ def state_to_facts(state: WorldState) -> Program:
     fact holding the canonical list of the agent's fluents (close/1,
     holds/1, sitting_on/1), the plan's start state.  A plan's states add
     on/1 or off/1 only for the switches it makes.  Rooms, placement and
-    the agent get no facts: no plan reads them.  Each object id and type
-    becomes one `Const`, shared by every fact that names it."""
-    objects = state.objects
-    order = sorted(objects)
-    consts: Dict[str, Const] = {}
-
-    def const(value: str) -> Const:
-        c = consts.get(value)
-        if c is None:
-            c = consts[value] = Const(value)
-        return c
-
-    objs = [(const(obj_id), objects[obj_id]) for obj_id in order]
-    facts = [Clause(Struct("type", (i, const(o.type)))) for i, o in objs]
-    facts += [Clause(Struct("switchable", (i,))) for i, o in objs if o.switchable]
-    facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
-    facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
-    facts += [Clause(Struct("starts_on", (i,))) for i, o in objs if o.powered == "on"]
+    the agent get no facts: no plan reads them.  The first four are the
+    scene layout's, built once and shared by every successor state; only
+    the starts_on/1 facts and the close_to_character/1 fact are built per
+    call, over the layout's `Const`s, one per object id and type."""
+    layout, objects = state.layout, state.objects
+    facts = [Clause(Struct("starts_on", (i,))) for i in layout.switchable if objects[i.value].powered == "on"]
     start = sorted(_agent_fluents(state), key=format_term)
     facts.append(Clause(Struct("close_to_character", (make_list(start),))))
-    return Program(facts)
+    return layout.facts + Program(facts)
 
 
 # -- scene documents -----------------------------------------------------------

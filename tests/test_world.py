@@ -10,6 +10,7 @@ import pytest
 
 from conftest import random_walk_actions, state_key
 from homelog.parser import parse_program
+from homelog.planner import TASK_CATALOG, UnresolvableTask, encode_goal_fluents
 from homelog.program import Clause, Literal, PredId, format_program
 from homelog.scenes import minimal_scene
 from homelog.terms import Const, Struct, Var, format_term
@@ -17,7 +18,9 @@ from homelog.world import (
     ACTION_NAMES,
     Action,
     IllegalAction,
+    ObjectInfo,
     SchemaError,
+    WorldState,
     action_from_term,
     action_term,
     apply_action,
@@ -440,6 +443,61 @@ def test_state_to_facts_shares_one_const_per_name():
         for arg in fact.head.args:
             if type(arg) is Const:
                 assert by_value.setdefault(arg.value, arg) is arg
+
+
+STATIC_PREDS = {PredId("type", 2), PredId("switchable", 1), PredId("grabbable", 1), PredId("sittable", 1)}
+
+
+def test_successors_share_the_scene_layouts_clauses(six_scene):
+    # No plan builds a per-object clause: the static facts are the start
+    # state's own objects on every call and in every successor, through a
+    # walk while holding an item, a switch, a sit and a standup.
+    first = state_to_facts(six_scene)
+    static = [c for c in first if c.head_pred in STATIC_PREDS]
+    assert len(static) == 6 + 4 + 3 + 1
+    states = [six_scene]
+    for a in (Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
+              Action("switchon", "remotecontrol1"), Action("walk", "couch1"),
+              Action("sit", "couch1"), Action("standup")):
+        states.append(apply_action(states[-1], a))
+    assert states[4].objects is not six_scene.objects  # the held walk made new objects
+    for state in states:
+        facts = state_to_facts(state)
+        assert [c for c in facts if c.head_pred in STATIC_PREDS] == static
+        assert all(a is b for a, b in zip(facts, static))
+        fresh = facts.clauses[len(static):]
+        assert {c.head_pred for c in fresh} <= {PredId("starts_on", 1), PredId("close_to_character", 1)}
+        assert not any(c is d for c in fresh for d in first)
+    assert "starts_on(remotecontrol1)." in format_program(state_to_facts(states[3]))
+
+
+def test_a_replaced_state_gets_a_layout_of_its_own_objects(six_scene):
+    state_to_facts(six_scene)  # the layout is built
+    objects = dict(six_scene.objects)
+    objects["couch1"] = dataclasses.replace(objects["couch1"], type="chair")
+    objects["shirt1"] = dataclasses.replace(objects["shirt1"], grabbable=False)
+    changed = dataclasses.replace(six_scene, objects=objects)
+    text = format_program(state_to_facts(changed))
+    assert "type(couch1, chair)." in text and "type(couch1, couch)." not in text
+    assert "grabbable(shirt1)." not in text and "grabbable(cellphone1)." in text
+    assert encode_goal_fluents(TASK_CATALOG["grab_remote_and_shirt"], changed) == [
+        Struct("holds", (Const("remotecontrol1"),)), Struct("holds", (Const("shirt1"),))
+    ]
+    with pytest.raises(UnresolvableTask, match="couch"):
+        encode_goal_fluents(TASK_CATALOG["sit_on_couch"], changed)
+    assert encode_goal_fluents(TASK_CATALOG["sit_on_couch"], six_scene) == [
+        Struct("sitting_on", (Const("couch1"),))
+    ]
+    # A hand-built state reads its own objects too; the layout takes no
+    # part in equality or repr.
+    built = WorldState(six_scene.rooms, {**six_scene.objects, "vase1": ObjectInfo("vase", "livingroom100")},
+                       six_scene.agent)
+    assert "type(vase1, vase)." in format_program(state_to_facts(built))
+    assert dataclasses.replace(six_scene) == six_scene != changed
+    assert WorldState(six_scene.rooms, dict(six_scene.objects), six_scene.agent) == six_scene
+    assert repr(six_scene) == (
+        f"WorldState(rooms={six_scene.rooms!r}, objects={six_scene.objects!r}, agent={six_scene.agent!r})"
+    )
 
 
 @pytest.mark.parametrize("functor", ["=", "\\="])
