@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional
 
 from .engine import BudgetExceeded, FlounderError, SolveConfig, SolveTimeout, solve
@@ -73,19 +72,8 @@ def _load_scene_arg(value: str) -> WorldState:
     return load_scene(_read_text(value))
 
 
-def _time_left(config: SolveConfig, start: float) -> SolveConfig:
-    """The config with its wall-clock limit counted from `start`, when the
-    command began; a limit already spent is 0.  SolveConfig has checked the
-    limit's range before it is clamped."""
-    if config.wall_timeout is None:
-        return config
-    return replace(config, wall_timeout=max(0.0, start + config.wall_timeout - time.monotonic()))
-
-
 def _solve_config(args: argparse.Namespace) -> SolveConfig:
-    trace = None
-    if getattr(args, "trace", False):
-        trace = lambda line: print(line, file=sys.stderr)
+    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     return SolveConfig(
         max_depth=args.max_depth,
         step_budget=args.steps,
@@ -115,7 +103,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     program = parse_program(_read_text(args.file))
     goals = _parse_query_arg(args.query)
     count = 0
-    for answer in solve(program, goals, _time_left(_solve_config(args), start)):
+    for answer in solve(program, goals, _solve_config(args).time_left(start)):
         print(answer)
         count += 1
     if count == 0:
@@ -144,7 +132,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     task = TASK_CATALOG[args.task]
     options = PlanOptions(
         max_plan_len=args.max_len,
-        config=_time_left(SolveConfig(wall_timeout=args.timeout), start),
+        config=SolveConfig(wall_timeout=args.timeout).time_left(start),
     )
     actions = plan(scene, task, options)
     if actions is None:

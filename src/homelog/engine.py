@@ -34,7 +34,7 @@ from __future__ import annotations
 import copy
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .parser import parse_program
@@ -100,6 +100,13 @@ class SolveConfig:
             raise ValueError("max_depth and step_budget must be at least 0")
         if self.wall_timeout is not None and not self.wall_timeout >= 0:
             raise ValueError("wall_timeout must be a number of seconds, at least 0")
+
+    def time_left(self, start: float) -> SolveConfig:
+        """This config with its wall-clock limit counted from `start`, a
+        `time.monotonic()` reading: what is left of it now, 0 once spent."""
+        if self.wall_timeout is None:
+            return self
+        return replace(self, wall_timeout=max(0.0, start + self.wall_timeout - time.monotonic()))
 
 
 @dataclass(frozen=True)
@@ -408,14 +415,11 @@ class _Solver:
                 else:
                     if depth >= cfg.max_depth:
                         raise BudgetExceeded(f"derivation depth cap {cfg.max_depth} exceeded")
+                    # A new choice point is on top, so _backtrack resumes it first.
                     cp = self._choice_point(cur, pred)
-                    if cp is None:
-                        ok = _FAILED
-                    else:
+                    if cp is not None:
                         cps.append(cp)
-                        ok = self._resume(cp)
-                        if ok is _FAILED:
-                            cps.pop()
+                    ok = _FAILED
             if ok is _FAILED:
                 cur = self._backtrack(cps)
                 if cur is _FAILED:

@@ -11,7 +11,7 @@ to confirm they execute.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -261,15 +261,15 @@ def encode_goal_fluents(task: Task, state: WorldState) -> List[Term]:
     """Resolve the task's goal template against the scene.
 
     Each (functor, object type) pair becomes a ground fluent over the
-    smallest matching object id, read from the scene layout's ids of that
+    smallest matching object id, the scene layout's first id of that
     type; the result is canonically sorted.
     """
-    ids_by_type = state.layout.ids_by_type
+    first_of_type = state.layout.first_of_type
     fluents = []
     for functor, type_name in task.goal_template:
-        if type_name not in ids_by_type:
+        if type_name not in first_of_type:
             raise UnresolvableTask(type_name)
-        fluents.append(Struct(functor, (ids_by_type[type_name][0],)))
+        fluents.append(Struct(functor, (first_of_type[type_name],)))
     return sorted(set(fluents), key=format_term)
 
 
@@ -317,10 +317,9 @@ def plan(
     spent raises SolveTimeout before the task is resolved or a fact built.
     SolveTimeout and BudgetExceeded propagate.
     """
+    start = time.monotonic()
     options = options or PlanOptions()
-    cfg = options.config
-    deadline = None if cfg.wall_timeout is None else time.monotonic() + cfg.wall_timeout
-    if cfg.wall_timeout == 0:  # spent already: the deadline is now
+    if options.config.wall_timeout == 0:  # spent already
         raise SolveTimeout("wall-clock limit reached")
     task_goal = encode_task(task, state)
     if task_goal is None:
@@ -328,12 +327,10 @@ def plan(
     goal_list = task_goal.atom.args[0]
     program = layer_facts(planning_kb(), state_to_facts(state))
     for length in range(1, options.max_plan_len + 1):
-        if deadline is not None:
-            cfg = replace(cfg, wall_timeout=max(0.0, deadline - time.monotonic()))
         skeleton = [Var(f"A{i}") for i in range(1, length + 1)]
         goal = Literal(Struct("transform", (goal_list, make_list(skeleton))))
         try:
-            answer = next(solve(program, [goal], cfg))
+            answer = next(solve(program, [goal], options.config.time_left(start)))
         except StopIteration:
             continue
         return [action_from_term(answer.bindings[v.name]) for v in skeleton]

@@ -107,25 +107,25 @@ class AgentState:
 @dataclass(frozen=True, slots=True)
 class SceneLayout:
     """What no action changes: the type/2, switchable/1, grabbable/1 and
-    sittable/1 facts, each type's ids and the switchable ids in id order,
-    all as the facts' own `Const`s, one per name."""
+    sittable/1 facts, each type's first id and the switchable ids in id
+    order, all as the facts' own `Const`s, one per name."""
 
     facts: Program
-    ids_by_type: Dict[str, List[Const]]
+    first_of_type: Dict[str, Const]
     switchable: Tuple[Const, ...]
 
     @staticmethod
     def of(objects: Dict[str, ObjectInfo]) -> "SceneLayout":
         consts = {v: Const(v) for v in {*objects, *(o.type for o in objects.values())}}
         objs = [(consts[obj_id], objects[obj_id]) for obj_id in sorted(objects)]
-        ids_by_type: Dict[str, List[Const]] = {}
+        first_of_type: Dict[str, Const] = {}
         for i, o in objs:
-            ids_by_type.setdefault(o.type, []).append(i)
+            first_of_type.setdefault(o.type, i)
         facts = [Clause(Struct("type", (i, consts[o.type]))) for i, o in objs]
         facts += [Clause(Struct("switchable", (i,))) for i, o in objs if o.switchable]
         facts += [Clause(Struct("grabbable", (i,))) for i, o in objs if o.grabbable]
         facts += [Clause(Struct("sittable", (i,))) for i, o in objs if o.sittable]
-        return SceneLayout(Program(facts), ids_by_type, tuple(i for i, o in objs if o.switchable))
+        return SceneLayout(Program(facts), first_of_type, tuple(i for i, o in objs if o.switchable))
 
 
 @dataclass(frozen=True)
@@ -271,39 +271,39 @@ def legal_actions(state: WorldState) -> List[Action]:
 # -- logic-program view --------------------------------------------------------
 
 
-def _agent_fluents(state: WorldState) -> List[Term]:
-    agent = state.agent
-    fluents: List[Term] = [Struct("close", (Const(x),)) for x in agent.close]
-    fluents += [Struct("holds", (Const(x),)) for x in agent.held]
+def fluent_list(state: WorldState) -> List[Term]:
+    """Current fluents in canonical order, no duplicates: close/1 and
+    holds/1 over sorted ids, on/1 for each device that is on in the
+    layout's id order, then sitting_on/1.  That is the text order of
+    their `format_term` forms, the order `insert_sorted/3` keeps, with no
+    text sort: the functors sort in that order, ids are identifiers, and
+    `)` sorts below every identifier character, so `close(a)` comes
+    before `close(ab)` as `a` comes before `ab`."""
+    agent, objects = state.agent, state.objects
+    fluents: List[Term] = [Struct("close", (Const(x),)) for x in sorted(agent.close)]
+    fluents += [Struct("holds", (Const(x),)) for x in sorted(agent.held)]
+    fluents += [Struct("on", (i,)) for i in state.layout.switchable if objects[i.value].powered == "on"]
     if agent.sitting_on is not None:
         fluents.append(Struct("sitting_on", (Const(agent.sitting_on),)))
     return fluents
-
-
-def fluent_list(state: WorldState) -> List[Term]:
-    """Current fluents, canonically ordered by their text form, no duplicates."""
-    objects = state.objects
-    fluents = _agent_fluents(state)
-    fluents += [Struct("on", (i,)) for i in state.layout.switchable if objects[i.value].powered == "on"]
-    return sorted(fluents, key=format_term)
 
 
 def state_to_facts(state: WorldState) -> Program:
     """The state as the facts the planning knowledge base reads: each
     object's type/2, the switchable/1, grabbable/1 and sittable/1 flags,
     starts_on/1 for each device that is on, and one close_to_character/1
-    fact holding the canonical list of the agent's fluents (close/1,
-    holds/1, sitting_on/1), the plan's start state.  A plan's states add
-    on/1 or off/1 only for the switches it makes.  Rooms, placement and
-    the agent get no facts: no plan reads them.  The first four are the
-    scene layout's, built once and shared by every successor state; only
-    the starts_on/1 facts and the close_to_character/1 fact are built per
-    call, over the layout's `Const`s, one per object id and type."""
-    layout, objects = state.layout, state.objects
-    facts = [Clause(Struct("starts_on", (i,))) for i in layout.switchable if objects[i.value].powered == "on"]
-    start = sorted(_agent_fluents(state), key=format_term)
-    facts.append(Clause(Struct("close_to_character", (make_list(start),))))
-    return layout.facts + Program(facts)
+    fact holding the rest of `fluent_list` (close/1, holds/1,
+    sitting_on/1) in its order, the plan's start state.  A plan's states
+    add on/1 or off/1 only for the switches it makes.  Rooms, placement
+    and the agent get no facts: no plan reads them.  The first four are
+    the scene layout's, built once and shared by every successor state;
+    only the starts_on/1 facts, over the on/1 fluents' own arguments, and
+    the close_to_character/1 fact are built per call."""
+    fluents = fluent_list(state)
+    facts = [Clause(Struct("starts_on", f.args)) for f in fluents if f.functor == "on"]
+    start = make_list([f for f in fluents if f.functor != "on"])
+    facts.append(Clause(Struct("close_to_character", (start,))))
+    return state.layout.facts + Program(facts)
 
 
 # -- scene documents -----------------------------------------------------------

@@ -13,7 +13,7 @@ from homelog.parser import parse_program
 from homelog.planner import TASK_CATALOG, UnresolvableTask, encode_goal_fluents
 from homelog.program import Clause, Literal, PredId, format_program
 from homelog.scenes import minimal_scene
-from homelog.terms import Const, Struct, Var, format_term
+from homelog.terms import Const, Struct, Var, format_term, make_list
 from homelog.world import (
     ACTION_NAMES,
     Action,
@@ -374,13 +374,26 @@ def test_fluent_list_is_sorted_and_duplicate_free(six_scene):
     s = run(six_scene, Action("walk", "remotecontrol1"), Action("grab", "remotecontrol1"),
             Action("walk", "couch1"), Action("sit", "couch1"))
     texts = [format_term(t) for t in fluent_list(s)]
-    assert texts == sorted(texts)
-    assert len(texts) == len(set(texts))
     assert "close(couch1)" in texts
     assert "close(remotecontrol1)" in texts  # held implies close after the walk
     assert "holds(remotecontrol1)" in texts
     assert "sitting_on(couch1)" in texts
     assert "on(tv1)" in texts
+    # Over random walks too, where the agent is close to several objects,
+    # holds two or sits: state_to_facts splits fluent_list, the on/1
+    # fluents into starts_on/1 and the rest into close_to_character/1.
+    states = [s] + [state for _, state, _ in random_walk_actions(1000, seed=29)]
+    assert sum(len(state.agent.close) > 1 for state in states) >= 20
+    for state in states:
+        fluents = fluent_list(state)
+        texts = [format_term(t) for t in fluents]
+        assert texts == sorted(texts)
+        assert len(texts) == len(set(texts))
+        facts = state_to_facts(state)
+        [start] = [c.head.args[0] for c in facts if c.head_pred == PredId("close_to_character", 1)]
+        assert start == make_list([f for f in fluents if f.functor != "on"])
+        starts_on = [c.head.args for c in facts if c.head_pred == PredId("starts_on", 1)]
+        assert starts_on == [f.args for f in fluents if f.functor == "on"]
 
 
 def test_state_to_facts_contents(six_scene):
