@@ -31,6 +31,7 @@ two raised out of the generator, never silently swallowed).
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import time
@@ -622,13 +623,7 @@ class _Solver:
         if tail != EMPTY_LIST:
             raise FlounderError("insert_sorted/3 needs a proper list")
         if item not in items:
-            text = format_term(item)
-            at = len(items)
-            for i, existing in enumerate(items):
-                if format_term(existing) > text:
-                    at = i
-                    break
-            items.insert(at, item)
+            bisect.insort(items, item, key=format_term)
         return unify_in_place(out, make_list(items), self.bindings, self.trail)
 
     # -- answers ---------------------------------------------------------------

@@ -195,31 +195,29 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         toks = self.toks
-        if toks[self.pos] == "not":
-            nxt = toks[self.pos + 1]
-            if nxt == "[" or _kind(nxt) != _PUNCT:
-                self.pos += 1
-                if toks[self.pos] == "not":
-                    raise self.fail("double negation is not supported")
-                inner = self.parse_term()
-                self.check_callable(inner)
-                if self.is_builtin_follow():
-                    raise self.fail("builtins cannot appear under not")
-                return Literal(inner, negated=True)
-        term = self.parse_term()
-        if self.is_builtin_follow():
-            op = toks[self.pos]
+        negated = toks[self.pos] == "not" and (
+            toks[self.pos + 1] == "[" or _kind(toks[self.pos + 1]) != _PUNCT
+        )
+        if negated:
             self.pos += 1
-            return Literal(Struct(op, (term, self.parse_term())))
+            if toks[self.pos] == "not":
+                raise self.fail("double negation is not supported")
+        term = self.parse_term()
+        if not negated:
+            if self.is_builtin_follow():
+                op = toks[self.pos]
+                self.pos += 1
+                return Literal(Struct(op, (term, self.parse_term())))
+            self.check_callable(term)
+            if pred_of(term) != _NOT:
+                return Literal(term)
+            term = term.args[0]  # not(G) is the negation of G, as `not G` is.
         self.check_callable(term)
         if pred_of(term) == _NOT:
-            # not(G) is the negation of G, as `not G` is.
-            term = term.args[0]
-            self.check_callable(term)
-            if pred_of(term) == _NOT:
-                raise self.fail("double negation is not supported")
-            return Literal(term, negated=True)
-        return Literal(term)
+            raise self.fail("double negation is not supported")
+        if self.is_builtin_follow():
+            raise self.fail("builtins cannot appear under not")
+        return Literal(term, negated=True)
 
     def is_builtin_follow(self) -> bool:
         return self.toks[self.pos] in BUILTIN_FUNCTORS

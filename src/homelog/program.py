@@ -10,6 +10,7 @@ from .terms import Const, Struct, Term, Var, compile_template, format_term
 
 __all__ = [
     "BUILTIN_FUNCTORS",
+    "BUILTIN_PREDS",
     "PredId",
     "Literal",
     "Clause",
@@ -36,13 +37,24 @@ class PredId(NamedTuple):
         return f"{self.name}/{self.arity}"
 
 
+@functools.lru_cache(maxsize=1024)
+def _pred_id(name: str, arity: int) -> PredId:
+    """One `PredId` per predicate, shared by every clause and literal that
+    names it.  A 400-object scene has some 740 facts over five predicates, and a
+    fresh `PredId` costs about as much as the fact's `Struct` head."""
+    return PredId(name, arity)
+
+
 def pred_of(atom: Term) -> PredId:
     """Predicate identifier of an atom (a constant is a 0-ary predicate)."""
     if isinstance(atom, Struct):
-        return PredId(atom.functor, len(atom.args))
+        return _pred_id(atom.functor, len(atom.args))
     if isinstance(atom, Const) and isinstance(atom.value, str):
-        return PredId(atom.value, 0)
+        return _pred_id(atom.value, 0)
     raise ValueError(f"not a callable atom: {atom!r}")
+
+
+BUILTIN_PREDS: Tuple[PredId, ...] = tuple(PredId(f, 2) for f in BUILTIN_FUNCTORS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +76,7 @@ class Literal:
         if isinstance(self.atom, Var):
             raise ValueError("a variable is not a literal")
         pred = pred_of(self.atom)
-        builtin = pred.name in BUILTIN_FUNCTORS and pred.arity == 2
+        builtin = pred in BUILTIN_PREDS
         if builtin and self.negated:
             raise ValueError("builtins cannot appear under not")
         object.__setattr__(self, "pred", pred)
@@ -84,14 +96,6 @@ def forward_closure(adj: Mapping[PredId, Iterable[PredId]], roots: Iterable[Pred
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _pred_id(name: str, arity: int) -> PredId:
-    """One `PredId` per predicate, shared by the clauses that define it.
-    A 400-object scene has some 740 facts over five predicates, and a
-    fresh `PredId` costs about as much as the fact's `Struct` head."""
-    return PredId(name, arity)
-
-
 class Clause:
     """head :- body.  A fact is a clause with an empty body.
 
@@ -106,13 +110,9 @@ class Clause:
     __slots__ = ("head", "body", "head_pred", "code")
 
     def __init__(self, head: Term, body: Tuple[Literal, ...] = ()):
-        if type(head) is Struct:
-            args = head.args
-            pred = _pred_id(head.functor, len(args))
-        else:
-            args = ()
-            pred = pred_of(head)  # raises on non-atoms
-        if pred.name in BUILTIN_FUNCTORS and pred.arity == 2:
+        pred = pred_of(head)  # raises on non-atoms
+        args = head.args if type(head) is Struct else ()
+        if pred in BUILTIN_PREDS:
             raise ValueError(f"cannot define builtin {pred}")
         self.head = head
         self.body = body

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
 
 from .engine import PRELUDE_PREDS
-from .program import BUILTIN_FUNCTORS, Literal, PredId, Program, forward_closure
+from .program import BUILTIN_PREDS, Literal, PredId, Program, forward_closure
 
 __all__ = [
     "BUILTIN_PREDS",
@@ -26,8 +26,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-BUILTIN_PREDS: Tuple[PredId, ...] = tuple(PredId(f, 2) for f in BUILTIN_FUNCTORS)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .program import Clause, Program
@@ -133,14 +134,11 @@ class WorldState:
     rooms: Dict[str, str]  # room id -> room type
     objects: Dict[str, ObjectInfo]
     agent: AgentState
-    # Built from `objects` on first use; only `_next` hands one on, not `replace`.
-    _layout: Optional[SceneLayout] = field(default=None, init=False, compare=False, repr=False)
 
-    @property
+    # Built on first use; not a field, so `==`, `repr` and `replace` skip it. `_next` hands it on.
+    @cached_property
     def layout(self) -> SceneLayout:
-        if self._layout is None:
-            object.__setattr__(self, "_layout", SceneLayout.of(self.objects))
-        return self._layout
+        return SceneLayout.of(self.objects)
 
 
 @dataclass(frozen=True, slots=True)
@@ -183,7 +181,8 @@ def action_from_term(t: Term) -> Action:
 def _next(state: WorldState, objects: Dict[str, ObjectInfo], agent: AgentState) -> WorldState:
     """The successor; it keeps the layout, as no action changes an object's id, type or flags."""
     after = WorldState(state.rooms, objects, agent)
-    object.__setattr__(after, "_layout", state._layout)
+    if "layout" in state.__dict__:
+        after.__dict__["layout"] = state.layout
     return after
 
 
@@ -310,7 +309,7 @@ def state_to_facts(state: WorldState) -> Program:
 
 _ROOM_KEYS = {"id", "type"}
 _OBJECT_KEYS = {"id", "type", "room", "grabbable", "sittable", "switchable", "powered"}
-_AGENT_KEYS = {"room", "close", "held"}
+_AGENT_KEYS = {"room", "close", "held", "sitting_on"}
 
 
 def _ident(value: object, what: str) -> str:
@@ -365,7 +364,10 @@ def load_scene(text: str) -> WorldState:
     _check_keys(agent_doc, _AGENT_KEYS, {"room"}, "agent")
     close = frozenset(_as_str_list(agent_doc.get("close", []), "agent.close"))
     held = frozenset(_as_str_list(agent_doc.get("held", []), "agent.held"))
-    agent = AgentState(room=_ident(agent_doc["room"], "agent room"), close=close, held=held, sitting_on=None)
+    sitting_on = agent_doc.get("sitting_on")
+    if sitting_on is not None:
+        sitting_on = _ident(sitting_on, "agent.sitting_on")
+    agent = AgentState(_ident(agent_doc["room"], "agent room"), close, held, sitting_on)
     state = WorldState(rooms, objects, agent)
     validate_state(state)
     return state
@@ -401,8 +403,9 @@ def _as_str_list(value: object, what: str) -> List[str]:
 
 
 def scene_to_dict(state: WorldState) -> dict:
-    """Scene-document form of a state (explicit flags, load_scene-compatible)."""
-    return {
+    """Scene-document form of a state (explicit flags, load_scene-compatible);
+    the agent's `sitting_on` is written only when it is set."""
+    doc = {
         "rooms": [{"id": rid, "type": rtype} for rid, rtype in sorted(state.rooms.items())],
         "objects": [
             {
@@ -422,6 +425,9 @@ def scene_to_dict(state: WorldState) -> dict:
             "held": sorted(state.agent.held),
         },
     }
+    if state.agent.sitting_on is not None:
+        doc["agent"]["sitting_on"] = state.agent.sitting_on
+    return doc
 
 
 def validate_state(state: WorldState) -> None:

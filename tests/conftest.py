@@ -9,13 +9,15 @@ logic answers come from the bottom-up fixpoint evaluator.
 
 from __future__ import annotations
 
+import collections
 import random
 from typing import List, Optional, Tuple
 
 import pytest
 
+from homelog import engine
 from homelog.planner import Task, goal_satisfied
-from homelog.program import Clause, Literal, Program
+from homelog.program import Clause, Literal, Program, pred_of
 from homelog.scenes import six_object_scene as _six_object_scene
 from homelog.terms import Const, Struct, Term, Var, format_term
 from homelog.world import Action, WorldState, apply_action, fluent_list, legal_actions, random_scene
@@ -114,6 +116,49 @@ def six_scene() -> WorldState:
     return _six_object_scene()
 
 
+# -- loop-check counts ------------------------------------------------------------
+
+
+class LoopCheckCounts:
+    """What the solver's loop check did while the fixture is active: the
+    calls keyed, by predicate; the calls cut off as variants of an
+    ancestor; and the ancestor frames compared, up to the first match."""
+
+    def __init__(self, monkeypatch):
+        self.keys: collections.Counter = collections.Counter()
+        self.cuts = 0
+        self.frames = 0
+        variant_key = engine.variant_key
+        seen_on_path = engine._Solver._seen_on_path
+
+        def counted_key(atom):
+            self.keys[pred_of(atom)] += 1
+            return variant_key(atom)
+
+        def counted_walk(solver, anc, key):
+            frame = anc
+            while frame is not None:
+                self.frames += 1
+                if frame[0] == key:
+                    break
+                frame = frame[1]
+            seen = seen_on_path(solver, anc, key)
+            self.cuts += seen
+            return seen
+
+        monkeypatch.setattr(engine, "variant_key", counted_key)
+        monkeypatch.setattr(engine._Solver, "_seen_on_path", counted_walk)
+
+    @property
+    def keyed(self) -> int:
+        return sum(self.keys.values())
+
+
+@pytest.fixture
+def loop_check_counts(monkeypatch) -> LoopCheckCounts:
+    return LoopCheckCounts(monkeypatch)
+
+
 # -- breadth-first shortest-plan oracle over the native simulator ----------------
 
 
@@ -153,14 +198,14 @@ def bfs_plan_length(scene: WorldState, task: Task, max_depth: int = 8) -> Option
 
 # -- seeded random logic programs ------------------------------------------------
 #
-# Non-recursive, range-restricted, naf-free programs over at most six
-# predicates and twelve facts.  Every rule's body only references
-# strictly earlier predicates, so the programs are stratified and the
-# fixpoint oracle applies; disequalities are appended after the
-# variables they test are bound.
+# Range-restricted, naf-free programs over at most six predicates and
+# twelve facts, so the fixpoint oracle applies.  A rule's body calls only
+# strictly earlier predicates, so the programs are not recursive; with
+# `recursive` it may call any predicate, its own and later ones included.
+# Disequalities are appended after the variables they test are bound.
 
 
-def random_program(seed: int) -> Tuple[Program, List[Literal]]:
+def random_program(seed: int, recursive: bool = False) -> Tuple[Program, List[Literal]]:
     rng = random.Random(seed)
     n_preds = rng.randint(2, 6)
     preds = [(f"p{i}", rng.randint(1, 2)) for i in range(n_preds)]
@@ -182,7 +227,7 @@ def random_program(seed: int) -> Tuple[Program, List[Literal]]:
             # two body literals at most keeps full enumeration cheap even
             # when rules chain through several derived predicates
             for _ in range(rng.randint(1, 2)):
-                bname, barity = preds[rng.randrange(i)]
+                bname, barity = preds[rng.randrange(n_preds if recursive else i)]
                 args = tuple(Var(rng.choice(pool)) for _ in range(barity))
                 bound.extend(v.name for v in args)
                 body.append(Literal(Struct(bname, args)))

@@ -366,21 +366,14 @@ DESCENT_CORPUS = [
 ]
 
 
-def test_the_descent_exemption_changes_no_search(monkeypatch):
+def test_the_descent_exemption_changes_no_search(monkeypatch, loop_check_counts):
     """Answers, statuses, call traces and loop-check cut-offs are the same
     with and without the descent table, on recursive programs and on
     planning; only the number of calls keyed falls."""
-    walks = []
-    seen_on_path = engine._Solver._seen_on_path
-
-    def counted(self, anc, key):
-        walks.append(seen_on_path(self, anc, key))
-        return walks[-1]
-
-    monkeypatch.setattr(engine._Solver, "_seen_on_path", counted)
+    counts = loop_check_counts
 
     def observe(exempt):
-        walks.clear()
+        keyed = counts.keyed
         out = []
         for text, queries in DESCENT_CORPUS:
             program = parse_program(text)
@@ -388,22 +381,22 @@ def test_the_descent_exemption_changes_no_search(monkeypatch):
                 _program_index(program).descent = {}
             for query in queries:
                 lines = []
-                cut = sum(walks)
+                cut = counts.cuts
                 config = SolveConfig(step_budget=2_000, trace=lines.append)
                 answers, status = solve_all(program, parse_query(query), config)
-                out.append((text, query, [str(a) for a in answers], status, lines, sum(walks) - cut))
+                out.append((text, query, [str(a) for a in answers], status, lines, counts.cuts - cut))
         if not exempt:
             monkeypatch.setattr(_program_index(planning_kb()), "descent", {})
         for scene in (random_scene(7, 100), six_object_scene(), random_scene(1, 12), random_scene(2, 40)):
             for task in TASK_CATALOG.values():
                 lines = []
-                cut = sum(walks)
+                cut = counts.cuts
                 try:
                     actions = plan(scene, task, PlanOptions(config=SolveConfig(trace=lines.append)))
                 except UnresolvableTask as e:
                     actions = e.type_name
-                out.append((task.name, actions, lines, sum(walks) - cut))
-        return out, len(walks)
+                out.append((task.name, actions, lines, counts.cuts - cut))
+        return out, counts.keyed - keyed
 
     exempt, keyed = observe(True)
     full, keyed_without = observe(False)
@@ -776,6 +769,12 @@ def test_native_insert_sorted_inserts_by_text(family_program):
     assert [str(a) for a in answers] == ["L = [close(couch1), close(tv1), holds(plate2)]"]
 
 
+def test_native_insert_sorted_bisects_a_list_not_sorted_by_text(family_program):
+    # Bisection compares b with a, the middle element, and goes right.
+    answers = answers_for(family_program, "?- insert_sorted(b, [c, a], L).")
+    assert [str(a) for a in answers] == ["L = [c, a, b]"]
+
+
 def test_native_insert_sorted_deduplicates(family_program):
     answers = answers_for(family_program, "?- insert_sorted(b, [a, b, c], L).")
     assert [str(a) for a in answers] == ["L = [a, b, c]"]
@@ -1048,26 +1047,12 @@ _PATH_SHAPES = {
         ("mutual", "?- path(a, Y).", ["Y = b", "Y = c", "Y = a", "Y = d"], 11, 3),
     ],
 )
-def test_loop_check_keys_and_cut_offs_on_recursive_paths(monkeypatch, shape, query, expected, keys, cuts):
+def test_loop_check_keys_and_cut_offs_on_recursive_paths(loop_check_counts, shape, query, expected, keys, cuts):
     # Pins how many calls are keyed and how many the loop check cuts over
     # a cyclic graph, so a change to how keys are built keeps both.
-    built, cut = [], []
-    variant_key = engine.variant_key
-    seen_on_path = engine._Solver._seen_on_path
-
-    def counted_key(*args):
-        built.append(args)
-        return variant_key(*args)
-
-    def counted_walk(self, anc, key):
-        cut.append(seen_on_path(self, anc, key))
-        return cut[-1]
-
-    monkeypatch.setattr(engine, "variant_key", counted_key)
-    monkeypatch.setattr(engine._Solver, "_seen_on_path", counted_walk)
     program = parse_program(_PATH_SHAPES[shape] + _PATH_EDGES)
     assert [str(a) for a in answers_for(program, query)] == expected
-    assert (len(built), sum(cut)) == (keys, cuts)
+    assert (loop_check_counts.keyed, loop_check_counts.cuts) == (keys, cuts)
 
 
 def test_member_over_a_long_list_fact():

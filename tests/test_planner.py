@@ -1,6 +1,5 @@
 """Task encoding, the planning knowledge base, and plan search."""
 
-import collections
 import hashlib
 import json
 import re
@@ -580,38 +579,17 @@ def test_every_task_plans_shortest_on_a_5000_object_scene():
     assert lengths == [1, 2, 4, 4, 2]
 
 
-def test_loop_check_walks_stay_short_on_a_1000_object_scene(monkeypatch):
+def test_loop_check_walks_stay_short_on_a_1000_object_scene(loop_check_counts):
     """Only calls whose descent argument is not ground are keyed: the plan
     search's transform/4, whose plan skeleton is open.  The calls that walk
     a state list are exempt, so neither keys nor the ancestor frames the
     loop check compares grow with the number of fluents in a state."""
-    keyed = collections.Counter()
-    frames = 0
-    variant_key = engine.variant_key
-    seen_on_path = engine._Solver._seen_on_path
-
-    def counted_key(atom):
-        keyed[PredId(atom.functor, len(atom.args))] += 1
-        return variant_key(atom)
-
-    def counted_walk(self, anc, key):
-        nonlocal frames
-        frame = anc
-        while frame is not None:
-            frames += 1
-            if frame[0] == key:
-                break
-            frame = frame[1]
-        return seen_on_path(self, anc, key)
-
-    monkeypatch.setattr(engine, "variant_key", counted_key)
-    monkeypatch.setattr(engine._Solver, "_seen_on_path", counted_walk)
     scene = random_scene(7, 1000)
     lengths = [len(plan(scene, task)) for task in TASK_CATALOG.values()]
     assert lengths == [1, 2, 4, 4, 2]
-    assert set(keyed) == {PredId("transform", 4)}
-    assert sum(keyed.values()) <= 50
-    assert frames <= 50
+    assert set(loop_check_counts.keys) == {PredId("transform", 4)}
+    assert loop_check_counts.keyed <= 50
+    assert loop_check_counts.frames <= 50
 
 
 def test_plan_timeout_propagates():

@@ -97,6 +97,21 @@ def test_scene_round_trips_through_dict(six_scene):
     assert state_key(again) == state_key(six_scene)
 
 
+def test_every_walked_state_round_trips_through_a_scene_document():
+    # Seated states included: the agent's sitting_on is written when set.
+    seated = 0
+    for start, state, action in random_walk_actions(1000, seed=25):
+        states = [start, state]
+        if legal(state, action)[0]:
+            states.append(apply_action(state, action))
+        for s in states:
+            doc = scene_to_dict(s)
+            assert ("sitting_on" in doc["agent"]) == (s.agent.sitting_on is not None)
+            assert load_scene(json.dumps(doc)) == s
+            seated += s.agent.sitting_on is not None
+    assert seated
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -135,6 +150,10 @@ def test_scene_round_trips_through_dict(six_scene):
         (lambda d: d["agent"].update(close=["shirt1"]), "close object shirt1 is in another room"),
         (lambda d: d["agent"].update(close=["couch1"], held=["couch1"]),
          "held object couch1 is not grabbable"),
+        (lambda d: d["agent"].update(sitting_on="couch1"), "sitting on something out of reach"),
+        (lambda d: d["agent"].update(close=["tv1"], sitting_on="tv1"), "cannot be sitting on tv1"),
+        (lambda d: d["agent"].update(sitting_on=["couch1"]),
+         "agent.sitting_on must be a lowercase identifier"),
     ],
 )
 def test_bad_scenes_are_rejected(six_scene, mutate, message):
@@ -637,4 +656,4 @@ def test_transition_digest_is_pinned():
                 rows += [_transition_row(state, Action(name, t)) for t in targets]
     text = json.dumps(rows, sort_keys=True)
     assert len(rows) == 3821
-    assert hashlib.sha256(text.encode()).hexdigest() == "b84f1074202ddf92c49792aeaf26f0956fc92f261787031afe2e0f483a1d171b"
+    assert hashlib.sha256(text.encode()).hexdigest() == "4c7ad23fee6875ec8fea8efbd8760e773b6324d7d7ba635ebc25438bab3e27c2"
