@@ -189,9 +189,6 @@ class Program:
         out.index = index
         return out
 
-    def defines(self, pred: PredId) -> bool:
-        return pred in self.index
-
 
 def format_literal(lit: Literal) -> str:
     if lit.is_builtin:

@@ -24,7 +24,6 @@ __all__ = [
     "unify",
     "compile_template",
     "rename_apart_term",
-    "variant_of",
     "variant_key",
     "format_term",
 ]
@@ -381,11 +380,6 @@ def variant_key(t: Term) -> Tuple[int, tuple]:
             key.append(cur)
     out = tuple(key)
     return hash(out), out
-
-
-def variant_of(t1: Term, t2: Term) -> bool:
-    """True when the terms are equal up to a bijective renaming of variables."""
-    return variant_key(t1) == variant_key(t2)
 
 
 def format_term(t: Term) -> str:

@@ -324,6 +324,8 @@ def load_scene(text: str) -> WorldState:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError(f"scene is not valid JSON: {e}") from e
+    except RecursionError as e:
+        raise SchemaError("scene nests too deeply to decode") from e
     if not isinstance(doc, dict):
         raise SchemaError("scene must be a JSON object")
     extra = set(doc) - {"rooms", "objects", "agent"}

@@ -15,10 +15,10 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from scenes import six_object_scene as _six_object_scene
 from homelog import engine
 from homelog.planner import Task, goal_satisfied
 from homelog.program import Clause, Literal, Program, pred_of
-from homelog.scenes import six_object_scene as _six_object_scene
 from homelog.terms import Const, Struct, Term, Var, format_term
 from homelog.world import Action, WorldState, apply_action, fluent_list, legal_actions, random_scene
 

@@ -1,18 +1,20 @@
-"""Naive bottom-up evaluation, used as an independent oracle for the solver.
+"""Independent oracles for the solver and the variant check.
 
-Repeatedly applies every rule to the facts derived so far until nothing
-new appears.  Only negation-free programs over constants are supported;
-anything else raises OracleUnsupported rather than guessing.
+Naive bottom-up evaluation repeatedly applies every rule to the facts
+derived so far until nothing new appears.  Only negation-free programs
+over constants are supported; anything else raises OracleUnsupported
+rather than guessing.  `variant_of` decides variance by a parallel walk,
+a second definition to hold `terms.variant_key` against.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterator, List, Set, Tuple
 
-from .program import Literal, PredId, Program, pred_of
-from .terms import Struct, Subst, Term, apply_subst, term_vars, unify
+from homelog.program import Literal, PredId, Program, pred_of
+from homelog.terms import Struct, Subst, Term, Var, apply_subst, term_vars, unify
 
-__all__ = ["OracleUnsupported", "fixpoint_eval", "fixpoint_answers"]
+__all__ = ["OracleUnsupported", "fixpoint_eval", "fixpoint_answers", "variant_of"]
 
 
 class OracleUnsupported(Exception):
@@ -107,3 +109,27 @@ def fixpoint_answers(program: Program, pred: PredId) -> Set[Tuple[Term, ...]]:
         if pred_of(atom) == pred:
             out.add(atom.args if isinstance(atom, Struct) else ())
     return out
+
+
+def variant_of(t1: Term, t2: Term) -> bool:
+    """True when the terms are equal up to a bijective renaming of variables.
+
+    Walks both terms in parallel with one variable map each way, so a
+    variable stands for one variable on the other side and no two
+    variables stand for the same one.
+    """
+    forth: Dict[str, str] = {}
+    back: Dict[str, str] = {}
+    todo = [(t1, t2)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is Var and type(b) is Var:
+            if forth.setdefault(a.name, b.name) != b.name or back.setdefault(b.name, a.name) != a.name:
+                return False
+        elif type(a) is Struct and type(b) is Struct:
+            if a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            todo.extend(zip(a.args, b.args))
+        elif type(a) is Var or type(b) is Var or a != b:
+            return False
+    return True

@@ -1,10 +1,10 @@
-"""Ready-made scene documents, the minimal and the six-object one, for the docs and the tests."""
+"""Ready-made scene documents for the tests: the minimal and the six-object one."""
 
 from __future__ import annotations
 
 import json
 
-from .world import WorldState, load_scene
+from homelog.world import WorldState, load_scene
 
 __all__ = [
     "MINIMAL_SCENE_JSON",

@@ -19,9 +19,10 @@ from conftest import (
     random_program,
     random_walk_actions,
 )
+from oracle import fixpoint_answers
+from scenes import six_object_scene
 from homelog import planner
 from homelog.engine import SolveConfig, solve_all
-from homelog.fixpoint import fixpoint_answers
 from homelog.parser import parse_program, parse_query
 from homelog.planner import (
     BENCH_TASK_NAMES,
@@ -36,7 +37,6 @@ from homelog.planner import (
 )
 from homelog.program import Literal, PredId
 from homelog.relevance import prune_program
-from homelog.scenes import six_object_scene
 from homelog.terms import Struct, Var, make_list
 from homelog.world import (
     action_term,
@@ -273,8 +273,8 @@ def test_criterion_7_published_listings_parse_verbatim():
         assert len(program) > 0, name
     world = parse_program(CORPUS_TEXTS["world_facts"])
     # device facts in both shapes: with and without a timestamp argument
-    assert world.defines(PredId("off", 1))
-    assert world.defines(PredId("off", 2))
-    assert world.defines(PredId("inside", 1))
-    assert world.defines(PredId("inside", 2))
-    assert world.defines(PredId("current_time", 1))
+    assert PredId("off", 1) in world.index
+    assert PredId("off", 2) in world.index
+    assert PredId("inside", 1) in world.index
+    assert PredId("inside", 2) in world.index
+    assert PredId("current_time", 1) in world.index

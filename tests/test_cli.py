@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_TEXT
+from scenes import MINIMAL_SCENE_JSON, SIX_OBJECT_SCENE_JSON
 import homelog.cli as cli
 import homelog.planner as planner
 from homelog.cli import (
@@ -34,7 +35,6 @@ from homelog.parser import ParseError, parse_program
 from homelog.planner import PlanOptions, UnresolvableTask
 from homelog.program import PredId
 from homelog.world import Action, IllegalAction, SchemaError
-from homelog.scenes import MINIMAL_SCENE_JSON, SIX_OBJECT_SCENE_JSON
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -323,9 +323,9 @@ def test_prune_removes_irrelevant_clauses(family_file, capsys):
     out = capsys.readouterr().out
     pruned = parse_program(out)
     assert len(pruned) == 9
-    assert not pruned.defines(PredId("male", 1))
-    assert not pruned.defines(PredId("grandparent", 2))
-    assert pruned.defines(PredId("female", 1))
+    assert PredId("male", 1) not in pruned.index
+    assert PredId("grandparent", 2) not in pruned.index
+    assert PredId("female", 1) in pruned.index
     assert "female(jill)." in out
 
 
@@ -564,6 +564,7 @@ _QUERIES = [
 ]
 _HUGE = "9" * 40
 _BAD_LIMITS = ["-1", "nan", "inf", "-inf", "x", "1e308", _HUGE]
+_DEEP_SCENE = '{"rooms": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 def _mostly(usual, rare):
@@ -589,8 +590,8 @@ def _program_bytes(draw):
 @st.composite
 def _scene_bytes(draw):
     """The six-object scene document with up to three faults: a key
-    dropped, a value of the wrong type, a duplicate id, an unknown key, or
-    text that is no JSON object."""
+    dropped, a value of the wrong type, a duplicate id, an unknown key,
+    text that is no JSON object, or rooms nested too deep to decode."""
     doc = json.loads(SIX_OBJECT_SCENE_JSON)
     wrong = st.sampled_from([3, "", "maybe", None, [], {}, True, "on", "x y", ["ghost"], ["couch1"]])
     for _ in range(max(0, draw(st.integers(-3, 3)))):
@@ -616,7 +617,7 @@ def _scene_bytes(draw):
         elif kind == "room" and isinstance(target, list):
             target.append({"id": draw(st.sampled_from(["livingroom100", "remotecontrol1", "x"])), "type": "bedroom"})
     text = json.dumps(doc)
-    text = draw(_mostly(st.just(text), st.sampled_from([text[:-1], "[]", "", "{"])))
+    text = draw(_mostly(st.just(text), st.sampled_from([text[:-1], "[]", "", "{"]) | st.just(_DEEP_SCENE)))
     return draw(_mostly(st.just(b""), st.sampled_from([b"\xef\xbb\xbf", b"\xff"]))) + text.encode("utf-8")
 
 
@@ -694,3 +695,8 @@ def test_module_entry_point_plans_and_exits_with_cli_codes(tmp_path):
     assert done.stdout.splitlines()[-1] == "GOAL SATISFIED"
     missing = _run_module("parse", str(tmp_path / "missing.pl"))
     assert missing.returncode == EXIT_USAGE
+    scene = tmp_path / "deep.json"
+    scene.write_text(_DEEP_SCENE)
+    deep = _run_module("plan", "--scene", str(scene), "--task", "grab_remote")
+    assert deep.returncode == EXIT_PARSE
+    assert deep.stderr.startswith("scene error: "), deep.stderr

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FAMILY_TEXT, random_program
+from oracle import fixpoint_answers, variant_of
+from scenes import six_object_scene
 import homelog.engine as engine
 from homelog.engine import (
     BudgetExceeded,
@@ -23,11 +25,9 @@ from homelog.engine import (
     solve,
     solve_all,
 )
-from homelog.fixpoint import fixpoint_answers
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
 from homelog.planner import TASK_CATALOG, PlanOptions, UnresolvableTask, plan, planning_kb
 from homelog.program import Clause, Literal, PredId, Program
-from homelog.scenes import six_object_scene
 from homelog.terms import (
     Const,
     Struct,
@@ -37,7 +37,6 @@ from homelog.terms import (
     make_list,
     term_vars,
     unify,
-    variant_of,
 )
 from homelog.world import random_scene, state_to_facts
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from homelog.fixpoint import OracleUnsupported, fixpoint_answers, fixpoint_eval
+from oracle import OracleUnsupported, fixpoint_answers, fixpoint_eval
 from homelog.parser import parse_program
 from homelog.program import PredId
 from homelog.terms import Const, Struct

@@ -7,18 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CORPUS_TEXTS
+from oracle import variant_of
 from homelog.parser import ParseError, parse_program, parse_query, parse_term_text
 from homelog.program import Clause, Literal, PredId, format_clause, format_program, pred_of
 from homelog.engine import solve_all
 from homelog.planner import domain_kb
-from homelog.terms import Const, Struct, Var, format_term, make_list, term_vars, variant_of
+from homelog.terms import Const, Struct, Var, format_term, make_list, term_vars
 
 
 def test_single_fact():
     p = parse_program("parent(tony, abe).")
     assert len(p) == 1
     assert p.clauses[0] == Clause(Struct("parent", (Const("tony"), Const("abe"))))
-    assert p.defines(PredId("parent", 2))
+    assert PredId("parent", 2) in p.index
 
 
 def test_rule_with_builtin():
@@ -343,9 +344,9 @@ def test_a_printed_program_parses_back_equal(name):
 
 def test_corpus_world_facts_cover_both_arities():
     p = parse_program(CORPUS_TEXTS["world_facts"])
-    assert p.defines(PredId("off", 1)) and p.defines(PredId("off", 2))
-    assert p.defines(PredId("inside", 1)) and p.defines(PredId("inside", 2))
-    assert p.defines(PredId("current_time", 1))
+    assert PredId("off", 1) in p.index and PredId("off", 2) in p.index
+    assert PredId("inside", 1) in p.index and PredId("inside", 2) in p.index
+    assert PredId("current_time", 1) in p.index
 
 
 def test_format_term_examples():

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from conftest import bfs_plan_length
+from scenes import minimal_scene, six_object_scene
 from homelog import engine, planner
 from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve, solve_all
 from homelog.parser import parse_query
@@ -27,7 +28,6 @@ from homelog.planner import (
 )
 from homelog.program import Literal, PredId
 from homelog.relevance import BUILTIN_PREDS, build_depgraph, prune_program, reachable
-from homelog.scenes import minimal_scene, six_object_scene
 from homelog.terms import Const, Struct, Var, format_term, list_parts, make_list, variant_key
 from homelog.world import (
     Action,
@@ -80,7 +80,7 @@ def test_kb_defines_the_expected_predicates():
         ("update", 3), ("update_walking", 3), ("remove_fluent", 3),
         ("complete_task", 2), ("sitting", 1), ("hands_full", 1),
     ]:
-        assert kb.defines(PredId(name, arity)), f"{name}/{arity}"
+        assert PredId(name, arity) in kb.index, f"{name}/{arity}"
 
 
 def test_kb_has_legality_and_effect_rules_for_every_action():

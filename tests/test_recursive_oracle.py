@@ -13,8 +13,8 @@ failures, each named below.
 import pytest
 
 from conftest import random_program
+from oracle import fixpoint_answers
 from homelog.engine import SolveConfig, solve_all
-from homelog.fixpoint import fixpoint_answers
 from homelog.parser import parse_program, parse_query
 from homelog.terms import Var
 

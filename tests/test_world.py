@@ -9,10 +9,10 @@ from collections import Counter
 import pytest
 
 from conftest import random_walk_actions, state_key
+from scenes import minimal_scene
 from homelog.parser import parse_program
 from homelog.planner import TASK_CATALOG, UnresolvableTask, encode_goal_fluents
 from homelog.program import Clause, Literal, PredId, format_program
-from homelog.scenes import minimal_scene
 from homelog.terms import Const, Struct, Var, format_term, make_list
 from homelog.world import (
     ACTION_NAMES,
@@ -198,6 +198,12 @@ def test_invalid_json_is_a_schema_error():
         load_scene("{not json")
     with pytest.raises(SchemaError):
         load_scene("[1, 2, 3]")
+
+
+@pytest.mark.parametrize("depth", [1_100, 100_000])
+def test_a_scene_nested_past_the_decoder_limit_is_a_schema_error(depth):
+    with pytest.raises(SchemaError):
+        load_scene('{"rooms": ' + "[" * depth + "]" * depth + ', "objects": [], "agent": {}}')
 
 
 def test_held_must_fit_in_two_hands():
