@@ -246,22 +246,25 @@ def _arg_key(t: Term) -> object:
     return t.value if type(t) is Const else (t.functor, len(t.args))
 
 
+_PRELUDE_TABLES = {pred: _first_arg_table(clauses) for pred, clauses in PRELUDE.index.items()}
+
+
 class _ProgramIndex:
     """What the solver derives from a program, built once per program.
 
     `lookup` maps each predicate to its clauses, the prelude filling in
     what the program does not define; `cyclic` holds the predicates on a
     cycle of the call graph, and `descent` the descent position of those
-    that have one (see `_descent_positions`); `tables` holds first-argument
-    tables, every rule predicate's from the start and a fact-only
-    predicate's from the first call to it with a bound first argument.  It
-    is cached on the program, so every solve over the same program (the
-    planner's one per plan length) shares it.  `layer_facts` puts a
-    program's facts on top of a built index without deriving the rest
-    again.
+    that have one (see `_descent_positions`); `tables` holds every
+    predicate's first-argument table, rule and fact predicates alike, the
+    prelude's shared by every index; `facts_only` says whether the
+    program has no rule.  It is cached on the program, so every solve over
+    the same program (the planner's one per plan length) shares it.
+    `layer_facts` puts a program's facts, with their own index's tables,
+    on top of a built index without deriving the rest again.
     """
 
-    __slots__ = ("lookup", "cyclic", "descent", "tables", "native_insert", "native_member")
+    __slots__ = ("lookup", "cyclic", "descent", "tables", "facts_only", "native_insert", "native_member")
 
     def __init__(self, program: Program):
         lookup = dict(program.index)
@@ -272,20 +275,17 @@ class _ProgramIndex:
         self.cyclic = set(components)
         self.descent = _descent_positions(lookup, components)
         self.tables: Dict[PredId, tuple] = {
-            pred: _first_arg_table(clauses)
-            for pred, clauses in lookup.items()
-            if pred.arity and any(c.body for c in clauses)
+            **_PRELUDE_TABLES,
+            **{pred: _first_arg_table(clauses) for pred, clauses in program.index.items() if pred.arity},
         }
+        self.facts_only = not any(c.body for c in program.clauses)
         self.native_insert = _INSERT_SORTED not in program.index
         self.native_member = _MEMBER not in program.index
 
     def clauses(self, pred: PredId, first: Term) -> Tuple[Clause, ...]:
         """The clauses of `pred` a call whose first argument is `first`
         (resolved, not a variable) can match, in source order."""
-        table = self.tables.get(pred)
-        if table is None:
-            table = self.tables[pred] = _first_arg_table(self.lookup[pred])
-        by_key, open_heads = table
+        by_key, open_heads = self.tables[pred]
         return by_key.get(_arg_key(first), open_heads)
 
 
@@ -298,15 +298,19 @@ def _program_index(program: Program) -> _ProgramIndex:
 
 def layer_facts(kb: Program, facts: Program) -> Program:
     """`kb + facts`, solved over kb's own index with the facts' predicates
-    layered on top: kb is indexed once, however many fact programs meet it.
+    layered on top: kb and facts are each indexed once, however often they
+    meet.
 
     Facts add no call-graph edge, so the layered index is a copy of kb's
     that shares its cyclic set and descent positions; only its lookup and
-    tables (a few dozen entries) are copied again, not derived from every
-    clause.  Raises ValueError when `facts` holds a rule, or defines a
-    predicate that kb, the prelude or the solver already provides.
+    tables (a few dozen entries) are copied again, the facts' tables taken
+    from the facts' own index, so no clause is walked.  A layered program
+    can itself be layered as facts; its index is facts-only when kb's is.
+    Raises ValueError when `facts` holds a rule, or defines a predicate
+    that kb, the prelude or the solver already provides.
     """
-    if any(c.body for c in facts.clauses):
+    top = _program_index(facts)
+    if not top.facts_only:
         raise ValueError("only facts can be layered on a program's index")
     base = _program_index(kb)
     clash = [p for p in facts.index if p in base.lookup or p in PRELUDE_PREDS]
@@ -315,7 +319,7 @@ def layer_facts(kb: Program, facts: Program) -> Program:
         raise ValueError(f"facts define {names}, which the program already provides")
     index = copy.copy(base)
     index.lookup = {**base.lookup, **facts.index}
-    index.tables = dict(base.tables)
+    index.tables = {**base.tables, **{p: top.tables[p] for p in facts.index if p.arity}}
     program = kb + facts
     program.solver_index = index
     return program

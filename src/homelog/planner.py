@@ -26,7 +26,7 @@ from .world import (
     WorldState,
     action_from_term,
     apply_action,
-    fluent_list,
+    has_fluent,
     state_to_facts,
 )
 
@@ -277,15 +277,16 @@ def encode_task(task: Task, state: WorldState) -> Optional[Literal]:
     """The planning goal transform(GoalFluents, P) with P free, or None when
     the state already satisfies the task.
 
-    The planning state records only a plan's switches, so an on/1 goal
-    whose device is already on is left out: a shortest plan never switches
-    it.
+    Each goal fluent is checked against the state itself (`has_fluent`),
+    not against its rendered fluent list.  The planning state records only
+    a plan's switches, so an on/1 goal whose device is already on is left
+    out: a shortest plan never switches it.
     """
-    current = set(fluent_list(state))
     goals = encode_goal_fluents(task, state)
-    if all(g in current for g in goals):
+    missing = [g for g in goals if not has_fluent(state, g)]
+    if not missing:
         return None
-    goal_list = make_list([g for g in goals if g.functor != "on" or g not in current])
+    goal_list = make_list([g for g in goals if g.functor != "on" or g in missing])
     return Literal(Struct("transform", (goal_list, Var("P"))))
 
 
@@ -310,7 +311,7 @@ def plan(
 
     The scene's facts are layered on planning_kb() (see
     `engine.layer_facts`), whose solver index is built once per process,
-    and `encode_task`'s goal is solved over the result with an exact-length
+    as the layout's is once per scene, and `encode_task`'s goal is solved over the result with an exact-length
     action skeleton in place of P for each length 1..max_plan_len in turn,
     each with what is left of the options' wall-clock limit, which counts
     from this call, so building the facts spends it too.  A limit already

@@ -151,10 +151,11 @@ class Program:
 
     The index is an exact partition of the clauses; both views preserve
     source order.  `solver_index` caches what the solver derives from the
-    clauses (see `engine._ProgramIndex`).  It is filled on the first solve,
-    except in a program made by `engine.layer_facts`: there it is a copy
-    of the knowledge base's own index, which is built once per
-    knowledge-base object, with the facts' predicates added to its lookup.
+    clauses (see `engine._ProgramIndex`).  It is filled on the first solve
+    or layering, except in a program made by `engine.layer_facts`: there
+    it is a copy of the knowledge base's own index, which is built once per
+    knowledge-base object, with the facts' predicates and their tables,
+    taken from the facts' own index, added on top.
     """
 
     __slots__ = ("clauses", "index", "solver_index")

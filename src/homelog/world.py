@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .engine import layer_facts
 from .program import Clause, Program
 from .terms import Const, Struct, Term, format_term, make_list
 
@@ -36,6 +37,7 @@ __all__ = [
     "apply_action",
     "legal_actions",
     "fluent_list",
+    "has_fluent",
     "state_to_facts",
     "load_scene",
     "scene_to_dict",
@@ -109,7 +111,9 @@ class AgentState:
 class SceneLayout:
     """What no action changes: the type/2, switchable/1, grabbable/1 and
     sittable/1 facts, each type's first id and the switchable ids in id
-    order, all as the facts' own `Const`s, one per name."""
+    order, all as the facts' own `Const`s, one per name.  The facts'
+    solver index, first-argument tables included, is built on their
+    `Program` once, the first time `state_to_facts` layers on it."""
 
     facts: Program
     first_of_type: Dict[str, Const]
@@ -287,6 +291,21 @@ def fluent_list(state: WorldState) -> List[Term]:
     return fluents
 
 
+def has_fluent(state: WorldState, fluent: Term) -> bool:
+    """Whether `fluent` is in `fluent_list(state)`, read from the state
+    without rendering it: close/1, holds/1 and sitting_on/1 from the
+    agent, on/1 from the device's power."""
+    agent, functor = state.agent, fluent.functor
+    name = fluent.args[0].value
+    if functor == "close":
+        return name in agent.close
+    if functor == "holds":
+        return name in agent.held
+    if functor == "sitting_on":
+        return agent.sitting_on == name
+    return functor == "on" and state.objects[name].powered == "on"
+
+
 def state_to_facts(state: WorldState) -> Program:
     """The state as the facts the planning knowledge base reads: each
     object's type/2, the switchable/1, grabbable/1 and sittable/1 flags,
@@ -295,14 +314,15 @@ def state_to_facts(state: WorldState) -> Program:
     sitting_on/1) in its order, the plan's start state.  A plan's states
     add on/1 or off/1 only for the switches it makes.  Rooms, placement
     and the agent get no facts: no plan reads them.  The first four are
-    the scene layout's, built once and shared by every successor state;
-    only the starts_on/1 facts, over the on/1 fluents' own arguments, and
-    the close_to_character/1 fact are built per call."""
+    the scene layout's, built and indexed once and shared by every
+    successor state; only the starts_on/1 facts, over the on/1 fluents'
+    own arguments, and the close_to_character/1 fact are built and indexed
+    per call, and layered on the layout's index (see `engine.layer_facts`)."""
     fluents = fluent_list(state)
     facts = [Clause(Struct("starts_on", f.args)) for f in fluents if f.functor == "on"]
     start = make_list([f for f in fluents if f.functor != "on"])
     facts.append(Clause(Struct("close_to_character", (start,))))
-    return state.layout.facts + Program(facts)
+    return layer_facts(state.layout.facts, Program(facts))
 
 
 # -- scene documents -----------------------------------------------------------

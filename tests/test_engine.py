@@ -457,6 +457,18 @@ def test_rules_do_not_layer():
         layer_facts(planning_kb(), parse_program("type(a, couch). grabbable(X) :- type(X, couch)."))
 
 
+def test_layered_facts_keep_both_layers_refusals():
+    # A layered program is layered as facts by what both of its layers hold.
+    with_rule = layer_facts(parse_program("grabbable(X) :- type(X, couch)."), parse_program("type(a, couch)."))
+    assert with_rule.solver_index.facts_only is False
+    with pytest.raises(ValueError, match="only facts"):
+        layer_facts(planning_kb(), with_rule)
+    facts = layer_facts(parse_program("type(a, couch)."), parse_program("goal_object(a, b)."))
+    assert facts.solver_index.facts_only is True
+    with pytest.raises(ValueError, match="already provides"):
+        layer_facts(planning_kb(), facts)
+
+
 def _head_key(c):
     """A head's index key: None for a variable, a constant's value, or a
     compound's (functor, arity)."""

@@ -5,6 +5,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bfs_plan_length
 from scenes import minimal_scene, six_object_scene
@@ -34,8 +36,11 @@ from homelog.world import (
     IllegalAction,
     action_from_term,
     action_term,
+    apply_action,
     fluent_list,
+    has_fluent,
     legal,
+    legal_actions,
     load_scene,
     random_scene,
     scene_to_dict,
@@ -383,6 +388,41 @@ def test_encode_task_is_none_exactly_when_every_goal_holds(scene, task):
         assert goal_satisfied(state, task) == holds_every_goal(state, task)
 
 
+def encode_task_from_fluent_list(task, state):
+    """`encode_task` as it reads over the rendered fluent list."""
+    current = set(fluent_list(state))
+    goals = encode_goal_fluents(task, state)
+    if all(g in current for g in goals):
+        return None
+    goal_list = make_list([g for g in goals if g.functor != "on" or g not in current])
+    return Literal(Struct("transform", (goal_list, Var("P"))))
+
+
+# Every catalog task, plus on/1 goals over devices every scene of six or
+# more objects has, so the rule that leaves out a device already on is hit.
+GOAL_CHECK_TASKS = [*TASK_CATALOG.values(), Task("remote_on", (("on", "remotecontrol"),)),
+                    Task("phone_on_and_sit", (("on", "cellphone"), ("sitting_on", "couch")))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10_000), st.integers(6, 30), st.lists(st.integers(0, 10_000), max_size=10))
+def test_goals_are_checked_against_the_state_as_the_fluent_list_reads(seed, n_objects, picks):
+    state = random_scene(seed, n_objects)
+    for pick in picks:
+        actions = legal_actions(state)
+        state = apply_action(state, actions[pick % len(actions)])
+    current = set(fluent_list(state))
+    for obj_id in state.objects:
+        for functor in ("close", "holds", "on", "sitting_on"):
+            fluent = Struct(functor, (Const(obj_id),))
+            assert has_fluent(state, fluent) == (fluent in current)
+    for task in GOAL_CHECK_TASKS:
+        for g in encode_goal_fluents(task, state):
+            assert has_fluent(state, g) == (g in current)
+        assert encode_task(task, state) == encode_task_from_fluent_list(task, state)
+        assert goal_satisfied(state, task) == (encode_task_from_fluent_list(task, state) is None)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_plan_lengths_match_breadth_first_search_on_small_scenes(seed):
     scene = random_scene(seed, 8)
@@ -420,6 +460,29 @@ def test_plan_slices_the_knowledge_base_once(monkeypatch, scene):
 
     query = [encode_task(TASK_CATALOG["grab_remote"], scene)]
     assert set(facts.index) <= reachable(build_depgraph(planning_kb(), query))
+
+
+def test_a_plan_on_a_reused_scene_indexes_only_its_start_facts(monkeypatch):
+    """The layout's facts and the knowledge base are indexed once; a later
+    plan on the same scene builds first-argument tables only for the
+    facts of its start state, and shares the layout's tables."""
+    scene = random_scene(7, 400)
+    built = []
+    real = engine._first_arg_table
+
+    def spy(clauses):
+        built.append(clauses[0].head_pred)
+        return real(clauses)
+
+    monkeypatch.setattr(engine, "_first_arg_table", spy)
+    plan(scene, TASK_CATALOG["grab_remote"])
+    assert {PredId("type", 2), PredId("grabbable", 1)} <= set(built)
+    built.clear()
+    assert plan(scene, TASK_CATALOG["grab_cellphone_and_sit_on_couch"])
+    assert set(built) <= {PredId("starts_on", 1), PredId("close_to_character", 1)}
+    first, second = state_to_facts(scene).solver_index, state_to_facts(scene).solver_index
+    assert first is not second
+    assert first.tables[PredId("type", 2)] is second.tables[PredId("type", 2)]
 
 
 _FRESH_VAR = re.compile(r"_#(\d+)")
