@@ -32,7 +32,6 @@ two raised out of the generator, never silently swallowed).
 from __future__ import annotations
 
 import bisect
-import copy
 import itertools
 import time
 from dataclasses import dataclass, field, replace
@@ -155,7 +154,9 @@ def _cyclic_preds(index: Dict[PredId, Tuple[Clause, ...]]) -> Dict[PredId, Froze
     cyclic when it reaches itself, and its component is what it reaches
     that reaches it back; the members share one frozenset.  One closure
     per rule predicate costs O(P·(P+E)) against a linear pass's O(P+E),
-    which is nothing at the few dozen rule predicates a program here has.
+    which is nothing at the few dozen rule predicates a program here has,
+    and nothing at all for a facts-only program, which has no edge.  The
+    prelude's components are read once, into `_PRELUDE_CYCLIC`.
     """
     adj = {p: {lit.pred for c in cs for lit in c.body} for p, cs in index.items()}
     reach = {p: forward_closure(adj, (p,)) for p, succ in adj.items() if succ}
@@ -247,6 +248,8 @@ def _arg_key(t: Term) -> object:
 
 
 _PRELUDE_TABLES = {pred: _first_arg_table(clauses) for pred, clauses in PRELUDE.index.items()}
+_PRELUDE_CYCLIC = _cyclic_preds(PRELUDE.index)
+_PRELUDE_DESCENT = _descent_positions(PRELUDE.index, _PRELUDE_CYCLIC)
 
 
 class _ProgramIndex:
@@ -258,8 +261,12 @@ class _ProgramIndex:
     that have one (see `_descent_positions`); `tables` holds every
     predicate's first-argument table, rule and fact predicates alike, the
     prelude's shared by every index; `facts_only` says whether the
-    program has no rule.  It is cached on the program, so every solve over
-    the same program (the planner's one per plan length) shares it.
+    program has no rule.  The prelude calls nothing of a program, so a
+    program that defines no prelude predicate reads its own components
+    and positions from its own clauses and takes the prelude's, derived
+    once at import; one that redefines member/2 or subset/2 reads them
+    from its whole lookup.  It is cached on the program, so every solve
+    over the same program (the planner's one per plan length) shares it.
     `layer_facts` puts a program's facts, with their own index's tables,
     on top of a built index without deriving the rest again.
     """
@@ -271,9 +278,14 @@ class _ProgramIndex:
         for pred, clauses in PRELUDE.index.items():
             lookup.setdefault(pred, clauses)
         self.lookup = lookup
-        components = _cyclic_preds(lookup)
+        if PRELUDE.index.keys() & program.index.keys():
+            components = _cyclic_preds(lookup)
+            self.descent = _descent_positions(lookup, components)
+        else:
+            own = _cyclic_preds(program.index)
+            components = {**own, **_PRELUDE_CYCLIC}
+            self.descent = {**_descent_positions(program.index, own), **_PRELUDE_DESCENT}
         self.cyclic = set(components)
-        self.descent = _descent_positions(lookup, components)
         self.tables: Dict[PredId, tuple] = {
             **_PRELUDE_TABLES,
             **{pred: _first_arg_table(clauses) for pred, clauses in program.index.items() if pred.arity},
@@ -301,11 +313,12 @@ def layer_facts(kb: Program, facts: Program) -> Program:
     layered on top: kb and facts are each indexed once, however often they
     meet.
 
-    Facts add no call-graph edge, so the layered index is a copy of kb's
-    that shares its cyclic set and descent positions; only its lookup and
-    tables (a few dozen entries) are copied again, the facts' tables taken
-    from the facts' own index, so no clause is walked.  A layered program
-    can itself be layered as facts; its index is facts-only when kb's is.
+    Facts add no call-graph edge, so the layered index is built from kb's
+    fields and shares its cyclic set, descent positions and flags; only
+    its lookup and tables (a few dozen entries) are built again, the
+    facts' tables taken from the facts' own index, so no clause is walked.
+    A layered program can itself be layered as facts; its index is
+    facts-only when kb's is.
     Raises ValueError when `facts` holds a rule, or defines a predicate
     that kb, the prelude or the solver already provides.
     """
@@ -317,7 +330,9 @@ def layer_facts(kb: Program, facts: Program) -> Program:
     if clash:
         names = ", ".join(map(str, clash))
         raise ValueError(f"facts define {names}, which the program already provides")
-    index = copy.copy(base)
+    index = _ProgramIndex.__new__(_ProgramIndex)
+    index.cyclic, index.descent, index.facts_only = base.cyclic, base.descent, base.facts_only
+    index.native_insert, index.native_member = base.native_insert, base.native_member
     index.lookup = {**base.lookup, **facts.index}
     index.tables = {**base.tables, **{p: top.tables[p] for p in facts.index if p.arity}}
     program = kb + facts

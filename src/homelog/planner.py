@@ -310,12 +310,13 @@ def plan(
     """Find a shortest plan for the task, or None when there is none.
 
     The scene's facts are layered on planning_kb() (see
-    `engine.layer_facts`), whose solver index is built once per process,
-    as the layout's is once per scene, and `encode_task`'s goal is solved over the result with an exact-length
-    action skeleton in place of P for each length 1..max_plan_len in turn,
-    each with what is left of the options' wall-clock limit, which counts
-    from this call, so building the facts spends it too.  A limit already
-    spent raises SolveTimeout before the task is resolved or a fact built.
+    `engine.layer_facts`).  The slice's solver index is built once per
+    process, and the layout's once per scene.  `encode_task`'s goal is
+    solved over the result once for each length 1..max_plan_len in turn,
+    with an exact-length action skeleton in place of P.  Each solve gets
+    what is left of the options' wall-clock limit, which counts from this
+    call, so building the facts spends it too.  A limit already spent
+    raises SolveTimeout before the task is resolved or a fact built.
     SolveTimeout and BudgetExceeded propagate.
     """
     start = time.monotonic()

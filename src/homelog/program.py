@@ -153,7 +153,7 @@ class Program:
     source order.  `solver_index` caches what the solver derives from the
     clauses (see `engine._ProgramIndex`).  It is filled on the first solve
     or layering, except in a program made by `engine.layer_facts`: there
-    it is a copy of the knowledge base's own index, which is built once per
+    it shares the fields of the knowledge base's own index, made once per
     knowledge-base object, with the facts' predicates and their tables,
     taken from the facts' own index, added on top.
     """

@@ -274,6 +274,22 @@ def legal_actions(state: WorldState) -> List[Action]:
 # -- logic-program view --------------------------------------------------------
 
 
+def _agent_fluents(agent: AgentState) -> List[Term]:
+    """The agent's fluents in `fluent_list`'s order: close/1 and holds/1
+    over sorted ids, then sitting_on/1."""
+    fluents: List[Term] = [Struct("close", (Const(x),)) for x in sorted(agent.close)]
+    fluents += [Struct("holds", (Const(x),)) for x in sorted(agent.held)]
+    if agent.sitting_on is not None:
+        fluents.append(Struct("sitting_on", (Const(agent.sitting_on),)))
+    return fluents
+
+
+def _devices_on(state: WorldState) -> List[Const]:
+    """The layout's `Const` of each device that is on, in id order."""
+    objects = state.objects
+    return [i for i in state.layout.switchable if objects[i.value].powered == "on"]
+
+
 def fluent_list(state: WorldState) -> List[Term]:
     """Current fluents in canonical order, no duplicates: close/1 and
     holds/1 over sorted ids, on/1 for each device that is on in the
@@ -281,13 +297,11 @@ def fluent_list(state: WorldState) -> List[Term]:
     their `format_term` forms, the order `insert_sorted/3` keeps, with no
     text sort: the functors sort in that order, ids are identifiers, and
     `)` sorts below every identifier character, so `close(a)` comes
-    before `close(ab)` as `a` comes before `ab`."""
-    agent, objects = state.agent, state.objects
-    fluents: List[Term] = [Struct("close", (Const(x),)) for x in sorted(agent.close)]
-    fluents += [Struct("holds", (Const(x),)) for x in sorted(agent.held)]
-    fluents += [Struct("on", (i,)) for i in state.layout.switchable if objects[i.value].powered == "on"]
-    if agent.sitting_on is not None:
-        fluents.append(Struct("sitting_on", (Const(agent.sitting_on),)))
+    before `close(ab)` as `a` comes before `ab`.  The agent's fluents and
+    the devices that are on are read as `state_to_facts` reads them."""
+    fluents = _agent_fluents(state.agent)
+    at = len(fluents) - (state.agent.sitting_on is not None)  # on/1 sorts before sitting_on/1
+    fluents[at:at] = [Struct("on", (i,)) for i in _devices_on(state)]
     return fluents
 
 
@@ -310,18 +324,17 @@ def state_to_facts(state: WorldState) -> Program:
     """The state as the facts the planning knowledge base reads: each
     object's type/2, the switchable/1, grabbable/1 and sittable/1 flags,
     starts_on/1 for each device that is on, and one close_to_character/1
-    fact holding the rest of `fluent_list` (close/1, holds/1,
-    sitting_on/1) in its order, the plan's start state.  A plan's states
-    add on/1 or off/1 only for the switches it makes.  Rooms, placement
-    and the agent get no facts: no plan reads them.  The first four are
-    the scene layout's, built and indexed once and shared by every
-    successor state; only the starts_on/1 facts, over the on/1 fluents'
-    own arguments, and the close_to_character/1 fact are built and indexed
-    per call, and layered on the layout's index (see `engine.layer_facts`)."""
-    fluents = fluent_list(state)
-    facts = [Clause(Struct("starts_on", f.args)) for f in fluents if f.functor == "on"]
-    start = make_list([f for f in fluents if f.functor != "on"])
-    facts.append(Clause(Struct("close_to_character", (start,))))
+    fact holding the agent's fluents (close/1, holds/1, sitting_on/1) in
+    `fluent_list`'s order, the plan's start state.  A plan's states add
+    on/1 or off/1 only for the switches it makes.  Rooms, placement and
+    the agent's room get no facts: no plan reads them.  The first four
+    are the scene layout's, built and indexed once and shared by every
+    successor state.  Each call builds only the starts_on/1 facts, over
+    the layout's own `Const`s, and the close_to_character/1 fact, with no
+    on/1 fluent rendered, and layers them on the layout's index (see
+    `engine.layer_facts`)."""
+    facts = [Clause(Struct("starts_on", (i,))) for i in _devices_on(state)]
+    facts.append(Clause(Struct("close_to_character", (make_list(_agent_fluents(state.agent)),))))
     return layer_facts(state.layout.facts, Program(facts))
 
 

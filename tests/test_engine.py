@@ -14,6 +14,7 @@ import homelog.engine as engine
 from homelog.engine import (
     BudgetExceeded,
     FlounderError,
+    PRELUDE,
     SolveConfig,
     SolveTimeout,
     _cyclic_preds,
@@ -469,6 +470,20 @@ def test_layered_facts_keep_both_layers_refusals():
         layer_facts(planning_kb(), facts)
 
 
+def test_a_layered_index_sets_every_field_and_shares_all_but_lookup_and_tables():
+    # The layered index is built field by field: a field added to
+    # _ProgramIndex and left out of layer_facts fails here.
+    kb = planning_kb()
+    base = _program_index(kb)
+    layered = layer_facts(kb, state_to_facts(random_scene(7, 100))).solver_index
+    for name in _ProgramIndex.__slots__:
+        assert hasattr(layered, name), name
+        if name in ("lookup", "tables"):
+            assert getattr(layered, name) is not getattr(base, name)
+        else:
+            assert getattr(layered, name) is getattr(base, name), name
+
+
 def _head_key(c):
     """A head's index key: None for a variable, a constant's value, or a
     compound's (functor, arity)."""
@@ -715,6 +730,51 @@ def test_cyclic_components_are_the_mutually_reachable_predicates(rules):
     assert {p.name: {q.name for q in members} for p, members in got.items()} == want
     for members in got.values():
         assert all(got[q] is members for q in members)
+
+
+# Programs that redefine member/2 or subset/2, as facts and as rules, a
+# member/2 that calls the prelude's subset/2, and rules that call the
+# prelude's predicates.
+_PRELUDE_EXTRAS = (
+    "",
+    "member(a, [a]). member(b, [a, b]).",
+    "member(X, [_|T]) :- member(X, T). member(X, [X|_]).",
+    "subset([], _). subset([a], [a]).",
+    "subset([H|T], L) :- member(H, L), subset(T, L). subset([], _).",
+    "member(X, L) :- subset([X], L).",
+    "member(X, [X|_]). member(X, [_|T]) :- member(X, T). subset([H|T], L) :- member(H, L), subset(T, L).",
+    "walk([H|T], L) :- member(H, L), walk(T, L). walk([], _).",
+    "top(L) :- subset(L, [a, b]), not top(L).",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.booleans(), st.sampled_from(_PRELUDE_EXTRAS))
+def test_an_index_derives_the_prelude_merged_lookups_components_and_descent(seed, recursive, facts_only, extra):
+    program, _ = random_program(seed, recursive=recursive)
+    clauses = [c for c in program.clauses if not (facts_only and c.body)]
+    program = Program(clauses + list(parse_program(extra).clauses))
+    lookup = {**PRELUDE.index, **program.index}
+    calls = {p: {lit.pred for c in cs for lit in c.body} for p, cs in lookup.items()}
+
+    def reached(start):
+        seen, todo = set(), list(calls[start])
+        while todo:
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo.extend(calls.get(p, ()))
+        return seen
+
+    reach = {p: reached(p) for p in calls}
+    components = {
+        p: frozenset(q for q in reach[p] if p in reach.get(q, ()))
+        for p in calls
+        if p in reach[p]
+    }
+    index = _ProgramIndex(program)
+    assert index.cyclic == set(components)
+    assert index.descent == _descent_positions(lookup, components)
 
 
 def test_empty_goal_list_rejected(family_program):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import bfs_plan_length
 from scenes import minimal_scene, six_object_scene
-from homelog import engine, planner
+from homelog import engine, planner, world
 from homelog.engine import PRELUDE_PREDS, SolveConfig, SolveTimeout, solve, solve_all
 from homelog.parser import parse_query
 from homelog.planner import (
@@ -483,6 +483,20 @@ def test_a_plan_on_a_reused_scene_indexes_only_its_start_facts(monkeypatch):
     first, second = state_to_facts(scene).solver_index, state_to_facts(scene).solver_index
     assert first is not second
     assert first.tables[PredId("type", 2)] is second.tables[PredId("type", 2)]
+
+
+def test_a_plan_on_a_reused_scene_renders_no_fluent_list_and_walks_no_call_graph(monkeypatch):
+    """A later plan on the same scene builds its start facts from the
+    layout and the agent without rendering the state's fluent list, and
+    indexes them without walking the prelude's call graph again."""
+    scene = random_scene(7, 400)
+    plan(scene, TASK_CATALOG["grab_remote"])
+    calls = []
+    for module, name in ((engine, "forward_closure"), (world, "fluent_list")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert plan(scene, TASK_CATALOG["grab_cellphone_and_sit_on_couch"])
+    assert calls == []
 
 
 _FRESH_VAR = re.compile(r"_#(\d+)")
